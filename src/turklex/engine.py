@@ -21,7 +21,6 @@ eliminations, database accesses) without re-running it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
@@ -40,6 +39,7 @@ from .featstruct import (
     FAILURE,
     DerivedConcept,
     FeatStruct,
+    copy_fs,
     project,
     subsumes,
     unify,
@@ -292,15 +292,18 @@ def retrieve(tp: TransformedParse, db: Database, surface: str,
 
     results = []
     for entry in senses:
-        fs = copy.deepcopy(entry.fs)
+        # one copy per sense: unify copies its operands, so a sense is
+        # copied here only when there is nothing to unify into it
         if len(lexical.inflections):
-            fs = unify(fs, FeatStruct([("morph", lexical.inflections)]))
+            fs = unify(entry.fs, FeatStruct([("morph", lexical.inflections)]))
             if fs is FAILURE:
                 if trace is not None:
                     trace.events.append(
                         DropRecord(f"inflections conflict with a sense of {tp.root}")
                     )
                 continue
+        else:
+            fs = copy_fs(entry.fs)
         for level in tp.levels[1:]:
             fs = build_derived(level, fs, db, trace)
             if fs is None:

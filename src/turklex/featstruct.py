@@ -15,9 +15,12 @@ Values stored inside a :class:`FeatStruct` are one of:
 Co-indexing is physical object sharing: the text syntax ``@n=value`` /
 ``@n`` resolves to one shared object at parse time, and the renderer
 re-derives tags from sharing, so there is no tag node type at runtime.
-Unification copies both operands jointly (preserving sharing topology
-inside and across them) and merges destructively into the copy, which is
-what keeps co-indexed substructures co-indexed in the result.
+Unification copies both operands with :func:`copy_fs` under one memo
+(preserving sharing topology inside and across them) and merges
+destructively into the copy, which is what keeps co-indexed substructures
+co-indexed in the result.  Only the mutable nodes (:class:`FeatStruct`,
+:class:`Seq`, :class:`FSSet`) are copied; atoms, atom sets, negations and
+concepts are never mutated after parsing, so copies share them.
 
 Unification failure is the module-level singleton :data:`FAILURE`, never
 an exception.  Missing-path lookups return :data:`ABSENT`.
@@ -25,7 +28,6 @@ an exception.  Missing-path lookups return :data:`ABSENT`.
 
 from __future__ import annotations
 
-import copy
 import re
 
 
@@ -598,20 +600,61 @@ def _indent_item(item, depth, lines, renderer, bullet):
 
 # -------------------------------------------------------------- unification
 
+_NODE_TYPES = frozenset((FeatStruct, Seq, FSSet))
+
+
+def copy_fs(value, memo=None):
+    """Copy the mutable nodes of ``value``, sharing its immutable leaves.
+
+    ``FeatStruct``, ``Seq`` and ``FSSet`` nodes are copied; every other
+    value (atoms, atom sets, negations, concepts) is shared with the
+    original.  ``memo`` maps the id of an original node to its copy, so a
+    node reached twice is copied once: sharing inside ``value`` is kept,
+    and passing one memo to several calls keeps sharing across their
+    values (the originals must stay alive between those calls).
+    """
+    if type(value) not in _NODE_TYPES:
+        return value
+    if memo is None:
+        memo = {}
+    return _copy_node(value, memo)
+
+
+def _copy_node(node, memo):
+    done = memo.get(id(node))
+    if done is not None:
+        return done
+    cls = type(node)
+    new = cls.__new__(cls)
+    memo[id(node)] = new  # before the children, so cycles terminate
+    if cls is FeatStruct:
+        new.open = node.open
+        new._data = {
+            name: _copy_node(v, memo) if type(v) in _NODE_TYPES else v
+            for name, v in node._data.items()
+        }
+    else:
+        new.items = [
+            _copy_node(v, memo) if type(v) in _NODE_TYPES else v
+            for v in node.items
+        ]
+    return new
+
+
 def unify(a: FeatStruct, b: FeatStruct):
     """Unify two feature structures; returns a new structure or FAILURE.
 
     Operands are never mutated.  Sharing topology inside (and across) the
     operands is preserved in the result.
     """
-    a2, b2 = copy.deepcopy((a, b))
-    return _merge(a2, b2)
+    memo = {}
+    return _merge(copy_fs(a, memo), copy_fs(b, memo))
 
 
 def unify_values(x, y):
     """Value-level unification (atoms, sets, negations, structures, ...)."""
-    x2, y2 = copy.deepcopy((x, y))
-    return _merge_values(x2, y2)
+    memo = {}
+    return _merge_values(copy_fs(x, memo), copy_fs(y, memo))
 
 
 def _merge(a: FeatStruct, b: FeatStruct):
@@ -751,11 +794,6 @@ def _subsumes_value(gv, sv) -> bool:
     return _merge_values(gv, sv) is not FAILURE
 
 
-def check_compatible(a, b) -> bool:
-    """True iff two atomic-or-structured values unify (non-destructive)."""
-    return unify_values(a, b) is not FAILURE
-
-
 # ------------------------------------------------------------ paths, access
 
 def parse_path(path):
@@ -780,9 +818,11 @@ def get_path(fs: FeatStruct, path):
 
 def project(fs: FeatStruct, top_features) -> FeatStruct:
     """Copy retaining only the listed top-level features."""
-    kept = {k: v for k, v in fs.items() if k in top_features}
-    kept = copy.deepcopy(kept)  # one copy call preserves sharing among kept
-    return FeatStruct(list(kept.items()), open=fs.open)
+    memo = {}  # one memo keeps sharing among the kept features
+    return FeatStruct(
+        [(k, copy_fs(v, memo)) for k, v in fs.items() if k in top_features],
+        open=fs.open,
+    )
 
 
 # ---------------------------------------------------------------- equality

@@ -14,8 +14,9 @@ gradability and the like) before validating the entry invariants.
 
 from __future__ import annotations
 
-import copy
+import os
 import re
+import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +25,7 @@ from .featstruct import (
     ABSENT,
     FeatStruct,
     FSSyntaxError,
+    copy_fs,
     parse_fs_text,
     render_fs,
 )
@@ -186,7 +188,7 @@ def lookup_template(db: Database, cat: Cat5) -> Optional[FeatStruct]:
     template = db.templates.get(cat)
     if template is None:
         return None
-    return copy.deepcopy(template.fs)
+    return copy_fs(template.fs)
 
 
 def add_entry(db: Database, entry: LexiconEntry) -> None:
@@ -307,6 +309,24 @@ def dumps(db: Database) -> str:
 
 
 def save(db: Database, path) -> None:
-    """Write the database to ``path`` in canonical form."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(db))
+    """Write the database to ``path`` in canonical form.
+
+    The text is rendered first and written to a temporary file beside the
+    target, which then replaces it in one rename: a failure or a killed
+    process leaves the old file or the new one, never a truncated one.  As
+    with a write in place, a symlink is followed and an existing target
+    keeps its permission bits.
+    """
+    text = dumps(db)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

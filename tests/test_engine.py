@@ -26,12 +26,15 @@ from turklex.featstruct import (
     ABSENT,
     DerivedConcept,
     FeatStruct,
+    FSSet,
     Seq,
     fs_equal,
     get_path,
     parse_fs_text,
+    render_fs,
     subsumes,
 )
+from turklex.fsdb import dumps
 from turklex.morph import parse_parse_string
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
@@ -273,6 +276,39 @@ class TestRetrieve:
         fs["sem"]["animate"] = "-"
         (fresh,) = retrieve(tp, engine.db, "at")
         assert fresh["sem"]["animate"] == "+"
+
+
+    def test_results_alias_no_entry_template_or_other_result(self):
+        from turklex.engine import LexiconEngine
+
+        engine = LexiconEngine.from_bundled_data()  # mutated below if aliased
+        queries = [q(f"[phon:{surface}]") for surface in ("kazma", "atIm", "akIllIca")]
+        db_text = dumps(engine.db)
+        expected = [[render_fs(fs) for fs in engine.query(query)] for query in queries]
+        assert all(expected)
+
+        nodes, seen = [], set()
+        stack = [fs for query in queries for fs in engine.query(query)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (FeatStruct, Seq, FSSet)) and id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, FeatStruct) else node.items)
+        for node in nodes:
+            if isinstance(node, FeatStruct):
+                for name in list(node.keys()):
+                    node[name] = "mutated"
+                node["extra"] = "mutated"
+            else:
+                node.items = ["mutated"]
+
+        for query, texts in zip(queries, expected):
+            again = engine.query(query)
+            assert [render_fs(fs) for fs in again] == texts
+            for fs, text in zip(again, texts):
+                assert fs_equal(fs, parse_fs_text(text))
+        assert dumps(engine.db) == db_text
 
 
 class TestFinalFilter:

@@ -13,6 +13,7 @@ from turklex.featstruct import (
     FSSyntaxError,
     Neg,
     Seq,
+    copy_fs,
     fs_equal,
     get_path,
     parse_fs_text,
@@ -25,6 +26,19 @@ from turklex.featstruct import (
 
 from . import oracle_unify
 from .strategies import feat_structs, shared_structs
+
+NODE_TYPES = (FeatStruct, Seq, FSSet)
+
+
+def node_ids(value, seen=None):
+    """Ids of the FeatStruct/Seq/FSSet nodes reachable from ``value``."""
+    seen = set() if seen is None else seen
+    if isinstance(value, NODE_TYPES) and id(value) not in seen:
+        seen.add(id(value))
+        children = value.values() if isinstance(value, FeatStruct) else value.items
+        for child in children:
+            node_ids(child, seen)
+    return seen
 
 
 # ---------------------------------------------------------------- parsing
@@ -209,6 +223,14 @@ def test_unify_preserves_sharing_topology():
     assert out["b"]["x"] == "p"
 
 
+def test_unify_preserves_sharing_across_operands():
+    shared = parse_fs_text("[x:{p,q}]")
+    out = unify(FeatStruct([("a", shared)]), FeatStruct([("b", shared), ("c", "z")]))
+    assert out["a"] is out["b"] and out["a"] is not shared
+    merged = unify_values(FeatStruct([("a", shared)]), FeatStruct([("b", shared)]))
+    assert merged["a"] is merged["b"]
+
+
 def test_unify_oracle_spot_sweep():
     errors = []
     pool = oracle_unify.atomic_pool()
@@ -252,6 +274,56 @@ def test_unify_result_subsumed_by_operands(a, b):
     if out is not FAILURE:
         assert subsumes(a, out)
         assert subsumes(b, out)
+
+
+# ------------------------------------------------------------------ copying
+
+@settings(max_examples=150)
+@given(feat_structs)
+def test_copy_fs_equal_to_original(fs):
+    assert fs_equal(copy_fs(fs), fs)
+
+
+@settings(max_examples=150)
+@given(shared_structs())
+def test_copy_fs_shares_no_node_and_keeps_sharing(fs):
+    out = copy_fs(fs)
+    assert fs_equal(out, fs)
+    assert out["first"] is out["second"]
+    originals, copies = node_ids(fs), node_ids(out)
+    assert not originals & copies
+    assert len(copies) == len(originals)
+
+
+@settings(max_examples=100)
+@given(feat_structs, feat_structs)
+def test_copy_fs_one_memo_keeps_sharing_across_values(shared, rest):
+    a = FeatStruct([("x", shared), ("y", rest)])
+    b = FeatStruct([("z", shared)])
+    memo = {}
+    a2, b2 = copy_fs(a, memo), copy_fs(b, memo)
+    assert a2["x"] is b2["z"]
+    assert a2["x"] is not shared
+    assert not node_ids(a) & node_ids(a2)
+    assert copy_fs(a)["x"] is not copy_fs(b)["z"]  # separate memos share nothing
+
+
+def test_copy_fs_shares_immutable_leaves():
+    fs = parse_fs_text("[a:!x, b:{p,q}, c:f_lI(akIl-(intelligence)), d:<[e:y]>, f:{[g:z]}]")
+    out = copy_fs(fs)
+    for name in ("a", "b", "c"):
+        assert out[name] is fs[name]
+    assert out["d"] is not fs["d"] and out["d"].items[0] is not fs["d"].items[0]
+    assert out["f"] is not fs["f"] and out["f"].items[0] is not fs["f"].items[0]
+    assert copy_fs("atom") == "atom"
+
+
+def test_copy_fs_cycle():
+    fs = FeatStruct([("a", "x")], open=False)
+    fs["self"] = fs
+    out = copy_fs(fs)
+    assert out is not fs and out["self"] is out
+    assert out.open is False and out["a"] == "x"
 
 
 # -------------------------------------------------------------- subsumption

@@ -306,6 +306,52 @@ class TestSaveLoad:
         for key, template in db.templates.items():
             assert fs_equal(again.templates[key].fs, template.fs)
 
+    def test_failed_save_leaves_file_untouched(self, db, tmp_path, monkeypatch):
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        before = path.read_bytes()
+
+        def broken_dumps(_db):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr("turklex.fsdb.dumps", broken_dumps)
+        add_entry(db, make_entry())
+        with pytest.raises(RuntimeError, match="render failed"):
+            save(db, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lexicon.fdb"]
+
+    def test_failed_write_removes_temp_file(self, db, tmp_path, monkeypatch):
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        before = path.read_bytes()
+
+        def broken_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("os.replace", broken_replace)
+        add_entry(db, make_entry())
+        with pytest.raises(OSError, match="rename failed"):
+            save(db, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lexicon.fdb"]
+
+    def test_save_keeps_permission_bits(self, db, tmp_path):
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        path.chmod(0o640)
+        save(db, path)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_save_through_symlink_writes_target(self, db, tmp_path):
+        target = tmp_path / "lexicon.fdb"
+        target.write_text("stale\n", encoding="utf-8")
+        link = tmp_path / "link.fdb"
+        link.symlink_to(target)
+        save(db, link)
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == dumps(db)
+
     def test_validate_entry_accepts_seed(self, seed_db):
         for senses in seed_db.entries.values():
             for entry in senses:
