@@ -39,11 +39,10 @@ from .fsdb import (
     LexiconEntry,
     add_entry,
     browse as browse_db,
+    clause_line,
     delete_entry,
     load as load_db,
     save as save_db,
-    validate_entry,
-    validate_template,
 )
 from .morph import AnalyzerTable
 
@@ -100,10 +99,6 @@ def _cat_text(cat: Cat5) -> str:
     return ", ".join(cat)
 
 
-def _fs_lines(fs: FeatStruct, style: str) -> str:
-    return render_fs(fs, style=style)
-
-
 def _render_full(trace: QueryTrace, style: str) -> list:
     lines = []
     lines.append("Parsing surface form started...")
@@ -135,7 +130,7 @@ def _render_full(trace: QueryTrace, style: str) -> list:
     for event in trace.events:
         if isinstance(event, EliminationRecord):
             lines.append("Parse eliminated: Printing only the last level...")
-            lines.append(_fs_lines(event.partial, style))
+            lines.append(render_fs(event.partial, style=style))
     lines.append("Application of restrictions phase ended...")
     lines.append("Satisfying parses:")
     lines.append(f"Number of parses: {len(trace.satisfying)}")
@@ -178,9 +173,9 @@ def _print_outcome(trace: QueryTrace, verbosity: str, style: str) -> None:
     for i, fs in enumerate(trace.results, 1):
         if style == "indented":
             click.echo(f"{i}:")
-            click.echo(_fs_lines(fs, style))
+            click.echo(render_fs(fs, style=style))
         else:
-            click.echo(f"{i}: {_fs_lines(fs, style)}")
+            click.echo(f"{i}: {render_fs(fs, style=style)}")
 
 
 # --------------------------------------------------------------------------
@@ -299,9 +294,9 @@ def db_browse(config: Config, cat_text, root, style):
     for entry in hits:
         if style == "indented":
             click.echo(f"entry {entry.cat.render()} {entry.root} :=")
-            click.echo(_fs_lines(entry.fs, style))
+            click.echo(render_fs(entry.fs, style=style))
         else:
-            click.echo(f"entry {entry.cat.render()} {entry.root} := {_fs_lines(entry.fs, style)}")
+            click.echo(clause_line(entry))
     click.echo(f"{len(hits)} entry/entries")
 
 
@@ -336,17 +331,8 @@ def check(config: Config):
         problems.append(str(exc))
 
     if database is not None:
-        for senses in database.entries.values():
-            for entry in senses:
-                try:
-                    validate_entry(entry)
-                except InvariantError as exc:
-                    problems.append(str(exc))
-        for template in database.templates.values():
-            try:
-                validate_template(template)
-            except InvariantError as exc:
-                problems.append(str(exc))
+        if not database.entries:
+            problems.append(f"{config.db}: the database has no entries")
         if inventory is not None:
             for (cat, root) in database.entries:
                 if cat not in inventory:

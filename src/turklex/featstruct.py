@@ -539,12 +539,8 @@ def render_fs(fs: FeatStruct, style: str = "compact") -> str:
     if style == "compact":
         return _Renderer(fs).compact_value(fs)
     if style == "indented":
-        return _render_indented(fs)
+        return "\n".join(_Renderer(fs).indented_lines(fs))
     raise ValueError(f"unknown style {style!r}")
-
-
-def _render_indented(fs: FeatStruct) -> str:
-    return "\n".join(_Renderer(fs).indented_lines(fs))
 
 
 def _indent_fs(fs, depth, lines, renderer):

@@ -10,6 +10,15 @@ successive senses of one word, ordered by file position.  Template keys are
 unique.  Entry clauses may be written compactly; the loader fills in the
 class-wide defaults (subcategorisation, the common-noun semantic flags,
 gradability and the like) before validating the entry invariants.
+
+A clause is never mutated once it is in a :class:`Database`: ``add_entry``
+fills the defaults before it appends, ``lookup_template`` returns a copy,
+and ``lookup`` and ``browse`` return the clauses themselves, which their
+callers only read (the engine's ``retrieve`` copies each sense).  So
+``dumps`` renders each clause's canonical line once, the first time it
+saves that clause, and keeps it on the clause (``line``); a later save
+renders only the clauses added since and joins the stored lines.  ``load``
+renders nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .catmap import Cat5
@@ -46,6 +55,7 @@ class LexiconEntry:
     cat: Cat5
     root: str
     fs: FeatStruct
+    line: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -54,6 +64,7 @@ class TemplateEntry:
 
     cat: Cat5
     fs: FeatStruct
+    line: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 class Database:
@@ -212,7 +223,8 @@ def delete_entry(db: Database, cat: Cat5, root: str, sense_index: int) -> Lexico
     entry = senses.pop(sense_index)
     if not senses:
         del db.entries[key]
-    db.clauses.remove(entry)
+    # by identity: two senses may be equal, and only this one goes
+    del db.clauses[next(i for i, clause in enumerate(db.clauses) if clause is entry)]
     return entry
 
 
@@ -296,16 +308,21 @@ def load(path) -> Database:
     return db
 
 
-def dumps(db: Database) -> str:
-    """Render the database in canonical one-clause-per-line form."""
-    lines = [_HEADER]
-    for clause in db.clauses:
+def clause_line(clause) -> str:
+    """The canonical line of an entry or template clause, rendered on the
+    first call and stored on the clause."""
+    if clause.line is None:
         body = render_fs(clause.fs, style="compact")
         if isinstance(clause, TemplateEntry):
-            lines.append(f"template {clause.cat.render()} := {body}")
+            clause.line = f"template {clause.cat.render()} := {body}"
         else:
-            lines.append(f"entry {clause.cat.render()} {clause.root} := {body}")
-    return "\n".join(lines) + "\n"
+            clause.line = f"entry {clause.cat.render()} {clause.root} := {body}"
+    return clause.line
+
+
+def dumps(db: Database) -> str:
+    """Render the database in canonical one-clause-per-line form."""
+    return "\n".join([_HEADER, *map(clause_line, db.clauses)]) + "\n"
 
 
 def save(db: Database, path) -> None:

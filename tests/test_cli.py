@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from turklex._data import bundled_path
 from turklex.catmap import Cat5
 from turklex.cli import main
-from turklex.fsdb import load, lookup
+from turklex.fsdb import dumps, load, lookup
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
 
@@ -131,6 +131,14 @@ class TestDbBrowse:
         result = runner.invoke(main, ["db", "browse", "--cat", "a,b,c,d,e,f"])
         assert result.exit_code == 2
 
+    def test_compact_lines_are_the_saved_clause_lines(self, runner):
+        result = runner.invoke(main, ["db", "browse", "--root", "ek"])
+        assert result.exit_code == 0
+        saved = dumps(load(bundled_path("lexicon.fdb"))).splitlines()
+        expected = [line for line in saved if line.startswith("entry") and "ek" in line.split()[2]]
+        assert len(expected) == 4  # ek, ek, ekim, gerek
+        assert result.output.splitlines() == expected + ["4 entry/entries"]
+
 
 NEW_ENTRY = (
     "[cat:[maj:nominal, min:noun, sub:common, ssub:none, sssub:none], "
@@ -224,6 +232,14 @@ class TestCheck:
         result = runner.invoke(main, ["--db", str(tmp_db), "check"])
         assert result.exit_code == 1
         assert "no root-mapping row" in result.output
+
+    def test_database_without_entries_fails(self, runner, tmp_path):
+        empty = tmp_path / "lexicon.fdb"
+        empty.write_text("", encoding="utf-8")
+        result = runner.invoke(main, ["--db", str(empty), "check"])
+        assert result.exit_code == 1
+        assert "has no entries" in result.output
+        assert "1 problem(s) found" in result.output
 
     def test_unreadable_file_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["--rootmap", str(tmp_path / "nope.tsv"), "check"])

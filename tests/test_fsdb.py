@@ -1,12 +1,23 @@
 """Tests for the feature-structure database: load/save, defaults, operations."""
 
 import copy
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turklex._data import bundled_path
 from turklex.catmap import Cat5
-from turklex.featstruct import BaseConcept, FeatStruct, FSSet, fs_equal, parse_fs_text
+from turklex.featstruct import (
+    BaseConcept,
+    FeatStruct,
+    FSSet,
+    copy_fs,
+    fs_equal,
+    parse_fs_text,
+    render_fs,
+)
 from turklex.fsdb import (
     Database,
     DatabaseFormatError,
@@ -14,6 +25,7 @@ from turklex.fsdb import (
     LexiconEntry,
     add_entry,
     browse,
+    clause_line,
     delete_entry,
     dumps,
     fill_entry_defaults,
@@ -260,6 +272,21 @@ class TestAddDelete:
         with pytest.raises(IndexError, match="2 sense"):
             delete_entry(db, COMMON, "ek", 5)
 
+    def test_delete_removes_that_sense_among_equal_ones(self, tmp_path):
+        ek, el = make_entry("ek", "suffix"), make_entry("el", "hand")
+        text = "".join(
+            f"entry {e.cat.render()} {e.root} := {render_fs(e.fs)}\n" for e in (ek, el, ek)
+        )
+        path = tmp_path / "equal.fdb"
+        path.write_text(text, encoding="utf-8")
+        db = load(path)
+        first, second = lookup(db, COMMON, "ek")
+        assert first == second and first is not second
+        assert delete_entry(db, COMMON, "ek", 1) is second
+        assert db.clauses[0] is first
+        assert [clause.root for clause in db.clauses] == ["ek", "el"]
+        assert [line.split()[2] for line in dumps(db).splitlines()[1:]] == ["ek", "el"]
+
 
 class TestBrowse:
     def test_by_category_prefix(self, seed_db):
@@ -352,7 +379,83 @@ class TestSaveLoad:
         assert link.is_symlink()
         assert target.read_text(encoding="utf-8") == dumps(db)
 
+    def test_save_renders_only_new_clauses(self, db, monkeypatch):
+        rendered = []
+
+        def counting_render(fs, style):
+            rendered.append(fs)
+            return render_fs(fs, style=style)
+
+        monkeypatch.setattr("turklex.fsdb.render_fs", counting_render)
+        first = dumps(db)
+        assert len(rendered) == len(db.clauses)
+        assert dumps(db) == first
+        assert len(rendered) == len(db.clauses)
+        entry = make_entry()
+        add_entry(db, entry)
+        dumps(db)
+        assert rendered[-1] is entry.fs
+        assert len(rendered) == len(db.clauses)
+
+    def test_load_renders_nothing(self, monkeypatch):
+        def no_render(fs, style):
+            raise AssertionError("rendered at load")
+
+        monkeypatch.setattr("turklex.fsdb.render_fs", no_render)
+        db = load(bundled_path("lexicon.fdb"))
+        assert all(clause.line is None for clause in db.clauses)
+
+    def test_stored_line_does_not_affect_equality(self):
+        entry = make_entry()
+        other = dataclasses.replace(entry)
+        clause_line(entry)
+        assert entry.line is not None and other.line is None
+        assert entry == other
+        assert "line" not in repr(entry)
+
     def test_validate_entry_accepts_seed(self, seed_db):
         for senses in seed_db.entries.values():
             for entry in senses:
                 validate_entry(entry)
+
+
+def fresh_dumps(db: Database) -> str:
+    """``dumps`` over copies of the clauses with no stored line."""
+    fresh = Database()
+    fresh.clauses = [dataclasses.replace(clause, line=None) for clause in db.clauses]
+    return dumps(fresh)
+
+
+def assert_consistent(db: Database) -> None:
+    """``db.clauses`` holds exactly the entries and templates, by identity,
+    with each word's senses in their sense order."""
+    indexed = [e for senses in db.entries.values() for e in senses]
+    indexed += db.templates.values()
+    assert sorted(map(id, db.clauses)) == sorted(map(id, indexed))
+    for key, senses in db.entries.items():
+        in_file = [c for c in db.clauses
+                   if isinstance(c, LexiconEntry) and (c.cat, c.root) == key]
+        assert all(a is b for a, b in zip(in_file, senses)) and len(in_file) == len(senses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stored_lines_match_a_fresh_render(tmp_path_factory, data):
+    db = load(bundled_path("lexicon.fdb"))
+    # a few words, so that equal senses of one word meet often
+    words = [(COMMON, "ek"), (COMMON, "at"), (PRED, "ye")]
+    pool = [e for word in words for e in db.entries[word]]
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        present = [word for word in words if word in db.entries]
+        if present and data.draw(st.booleans(), label="delete"):
+            cat, root = data.draw(st.sampled_from(present), label="word")
+            index = data.draw(st.integers(0, len(db.entries[(cat, root)]) - 1), label="sense")
+            delete_entry(db, cat, root, index)
+        else:
+            sense = data.draw(st.sampled_from(pool), label="add")
+            add_entry(db, LexiconEntry(sense.cat, sense.root, copy_fs(sense.fs)))
+        assert dumps(db) == fresh_dumps(db)
+        assert_consistent(db)
+    path = tmp_path_factory.mktemp("lines") / "lexicon.fdb"
+    save(db, path)
+    assert dumps(load(path)) == dumps(db)
