@@ -8,6 +8,11 @@ Usage::
 """
 
 import argparse
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package is in ../src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from turklex.cli import _render_full
 from turklex.engine import LexiconEngine

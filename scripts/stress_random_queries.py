@@ -14,7 +14,12 @@ Usage::
 import argparse
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing: the package is in ../src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from turklex.engine import LexiconEngine
 from turklex.featstruct import FeatStruct, Neg, fs_equal, render_fs, subsumes

@@ -10,6 +10,7 @@ by the engine, so lookups return a sentinel rather than raising.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .featstruct import FeatStruct
@@ -26,7 +27,7 @@ class Cat5(NamedTuple):
 
     @classmethod
     def from_text(cls, text: str) -> "Cat5":
-        parts = [part.strip() for part in text.split(",") if part.strip()]
+        parts = [sys.intern(part.strip()) for part in text.split(",") if part.strip()]
         if not 1 <= len(parts) <= 5:
             raise ValueError(f"expected 1-5 comma-separated atoms, got {text!r}")
         parts += ["none"] * (5 - len(parts))
@@ -108,8 +109,8 @@ class RootMapTable:
                     raise ValueError(
                         f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
                     )
-                proc_cat, proc_type, root, cat_text = (f.strip() for f in fields)
-                key = (proc_cat, proc_type, root)
+                *key_fields, cat_text = (f.strip() for f in fields)
+                key = tuple(map(sys.intern, key_fields))
                 if key in rows:
                     raise ValueError(f"{path}:{lineno}: duplicate key {key}")
                 cat = Cat5.from_text(cat_text)
@@ -140,8 +141,8 @@ class DerivMapTable:
                     raise ValueError(
                         f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                     )
-                proc_cat, suffix, cat_text = (f.strip() for f in fields)
-                key = (proc_cat, suffix)
+                *key_fields, cat_text = (f.strip() for f in fields)
+                key = tuple(map(sys.intern, key_fields))
                 if key in rows:
                     raise ValueError(f"{path}:{lineno}: duplicate key {key}")
                 cat = Cat5.from_text(cat_text)

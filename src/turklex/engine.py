@@ -45,7 +45,7 @@ from .featstruct import (
     unify,
 )
 from .fsdb import Database, load as load_db, lookup, lookup_template
-from .morph import AnalyzerTable, analyze, split_levels
+from .morph import AnalyzerTable, split_levels
 
 
 class QueryError(ValueError):
@@ -320,11 +320,6 @@ def final_filter(results, query_fs: FeatStruct) -> list:
     return [fs for fs in results if subsumes(query_fs, fs)]
 
 
-def check_constraint(fs: FeatStruct, constraint: FeatStruct) -> bool:
-    """Does ``fs`` satisfy one subcategorisation constraint?"""
-    return subsumes(constraint, fs)
-
-
 # --------------------------------------------------------------------------
 # the engine
 
@@ -373,7 +368,7 @@ def run_query(engine: LexiconEngine, query_fs: FeatStruct,
         raise QueryError("query must specify an atomic phon feature")
 
     trace = QueryTrace(surface=phon)
-    trace.parses = analyze(phon, engine.analyzer)
+    trace.parses = engine.analyzer.lookup(phon)
 
     for parse in trace.parses:
         tp = transform(parse, engine.rootmap, engine.derivmap, trace)

@@ -24,11 +24,18 @@ concepts are never mutated after parsing, so copies share them.
 
 Unification failure is the module-level singleton :data:`FAILURE`, never
 an exception.  Missing-path lookups return :data:`ABSENT`.
+
+The parser interns every feature name and atom it returns
+(``sys.intern``), so a database holds one string per distinct name or
+atom however many clauses use it.  That saves memory only: code still
+compares names and atoms with ``==``, never ``is``, because structures
+built through the API may hold strings that were never interned.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 
 class Failure:
@@ -270,6 +277,12 @@ class FSSyntaxError(ValueError):
 _NAME_RE = re.compile(r"[a-z][a-z0-9_-]*")
 _ATOM_RE = re.compile(r"[A-Za-z0-9_.+/-]+")
 _INT_RE = re.compile(r"\d+")
+# The common step ``name:atom`` followed by ``,`` or ``]``, in one match.
+# Neither character class holds whitespace, ':', ',', ']' or '(', so where
+# this matches, the step-by-step code reads the same pair and separator.
+_PAIR_RE = re.compile(
+    rf"\s*({_NAME_RE.pattern})\s*:\s*({_ATOM_RE.pattern})\s*([,\]])"
+)
 
 
 class _Parser:
@@ -312,11 +325,21 @@ class _Parser:
             self.pos += 1
             return FeatStruct()
         while True:
+            m = _PAIR_RE.match(self.text, self.pos)
+            if m is not None and m.group(1) not in seen:
+                name = sys.intern(m.group(1))
+                seen.add(name)
+                pairs.append((name, sys.intern(m.group(2))))
+                self.pos = m.end()
+                if m.group(3) == ",":
+                    continue
+                break
+            # anything else, a duplicate name included, goes step by step
             self.ws()
             m = _NAME_RE.match(self.text, self.pos)
             if not m:
                 self.error("expected feature name")
-            name = m.group()
+            name = sys.intern(m.group())
             if name in seen:
                 self.error(f"duplicate feature name {name!r}")
             seen.add(name)
@@ -355,12 +378,12 @@ class _Parser:
             if not m:
                 self.error("expected atom after '!'")
             self.pos = m.end()
-            return Neg(m.group())
+            return Neg(sys.intern(m.group()))
         if c == "'":
             end = self.text.find("'", self.pos + 1)
             if end < 0:
                 self.error("unterminated quoted atom")
-            atom = self.text[self.pos + 1 : end]
+            atom = sys.intern(self.text[self.pos + 1 : end])
             self.pos = end + 1
             return atom
         if c == "[":
@@ -428,7 +451,7 @@ class _Parser:
         cand = m.group()
         self.pos = m.end()
         if self.peek() != "(":
-            return cand
+            return sys.intern(cand)
         if cand.endswith("-"):
             self.pos += 1
             end = self.text.find(")", self.pos)

@@ -23,9 +23,11 @@ renders nothing.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import shutil
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -253,22 +255,41 @@ _HEADER = "# Feature-structure database (canonical form)."
 
 
 def load(path) -> Database:
-    """Load a database file, filling defaults and validating every clause."""
+    """Load a database file, filling defaults and validating every clause.
+
+    The cyclic garbage collector is paused while the clauses are built and
+    re-enabled afterwards only if it was enabled on entry.  A load creates
+    many long-lived nodes and no cycles (tags share nodes, they never loop
+    back), and reference counting frees the parse garbage, so a collector
+    pass during the load would scan the growing database and free nothing.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(path)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _load(path) -> Database:
     db = Database()
+
+    def fail(message: str) -> DatabaseFormatError:
+        return DatabaseFormatError(f"{path}:{lineno}: {message}")
+
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
 
-            def fail(message: str) -> DatabaseFormatError:
-                return DatabaseFormatError(f"{path}:{lineno}: {message}")
-
             if line.startswith("entry"):
                 match = _ENTRY_RE.match(line)
                 if match is None:
                     raise fail("malformed entry clause")
                 cat_text, root, fs_text = match.groups()
+                root = sys.intern(root)
             elif line.startswith("template"):
                 match = _TEMPLATE_RE.match(line)
                 if match is None:

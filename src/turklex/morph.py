@@ -9,15 +9,17 @@ pairs unpacks into ``k + 1`` levels: one lexical level describing the root
 and one derived level per conversion, each carrying its own inflection
 pairs.  ``TYPE`` pairs qualify whichever level they appear in.
 
-Running a real morphological analyzer is out of scope here; ``analyze``
-answers from a fixture table loaded from a tab-separated file, which is
-enough to drive the rest of the pipeline deterministically.
+Running a real morphological analyzer is out of scope here;
+:meth:`AnalyzerTable.lookup` answers from a fixture table loaded from a
+tab-separated file, which is enough to drive the rest of the pipeline
+deterministically.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -170,13 +172,13 @@ def parse_parse_string(text: str) -> MorphParse:
                 raise ParseFormatError(
                     "malformed pair syntax: CONV needs a category and a suffix"
                 )
-            pairs.append(("CONV", (first, second)))
+            pairs.append(("CONV", (sys.intern(first), sys.intern(second))))
         else:
             if second is not None:
                 raise ParseFormatError(
                     f"malformed pair syntax: {key} takes a single value"
                 )
-            pairs.append((key, first))
+            pairs.append((sys.intern(key), sys.intern(first)))
         pos = match.end()
 
     if not pairs or pairs[0][0] != "CAT":
@@ -256,7 +258,7 @@ class AnalyzerTable:
                     parse = parse_parse_string(parse_text)
                 except ParseFormatError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                table.setdefault(surface, []).append(parse)
+                table.setdefault(sys.intern(surface), []).append(parse)
         return cls(table)
 
     def lookup(self, surface: str) -> list:
@@ -265,8 +267,3 @@ class AnalyzerTable:
 
     def surfaces(self) -> Iterator[str]:
         return iter(self.parses)
-
-
-def analyze(surface: str, table: AnalyzerTable) -> list:
-    """Return every processor parse of ``surface`` known to ``table``."""
-    return table.lookup(surface)

@@ -15,7 +15,6 @@ from turklex.engine import (
     TransformedLevel,
     TransformedParse,
     build_derived,
-    check_constraint,
     early_filter,
     final_filter,
     partial_outer_fs,
@@ -330,20 +329,20 @@ class TestCheckConstraint:
 
     def test_satisfied(self):
         fs = q("[cat:[maj:nominal, min:noun, sub:common], morph:[case:nom, agr:3sg]]")
-        assert check_constraint(fs, q(self.CONSTRAINT))
+        assert subsumes(q(self.CONSTRAINT), fs)
 
     def test_case_conflict(self):
         fs = q("[cat:[maj:nominal, min:noun], morph:[case:acc]]")
-        assert not check_constraint(fs, q(self.CONSTRAINT))
+        assert not subsumes(q(self.CONSTRAINT), fs)
 
     def test_absent_feature_fails(self):
         fs = q("[cat:[maj:nominal, min:noun]]")
-        assert not check_constraint(fs, q(self.CONSTRAINT))
+        assert not subsumes(q(self.CONSTRAINT), fs)
 
     def test_negation(self):
         constraint = q("[morph:[poss:!none]]")
-        assert check_constraint(q("[morph:[poss:'1sg']]"), constraint)
-        assert not check_constraint(q("[morph:[poss:none]]"), constraint)
+        assert subsumes(constraint, q("[morph:[poss:'1sg']]"))
+        assert not subsumes(constraint, q("[morph:[poss:none]]"))
 
 
 class TestRunQuery:

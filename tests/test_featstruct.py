@@ -136,6 +136,65 @@ def test_syntax_error_reports_position():
         pytest.fail("expected FSSyntaxError")
 
 
+# One malformed input per error branch of the parser, with the message and
+# position it reports.  Inputs that the one-match ``name:atom`` step could
+# read as a pair (duplicates, separators after an atom) must still fail as
+# the step-by-step reading says.
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a", "expected '[' to open a feature structure", 0),
+        ("[:a]", "expected feature name", 1),
+        ("[a:b,]", "expected feature name", 5),
+        ("[a b]", "expected ':'", 3),
+        ("[a:b, a:c]", "duplicate feature name 'a'", 6),
+        ("[a:b,b:c,a:d]", "duplicate feature name 'a'", 9),
+        ("[a: b , a : c ]", "duplicate feature name 'a'", 8),
+        ("[a:[], a:b]", "duplicate feature name 'a'", 7),
+        ("[a:b; c:d]", "expected ',', ']' or '|_'", 4),
+        ("[a:b:c]", "expected ',', ']' or '|_'", 4),
+        ("[a:b c]", "expected ',', ']' or '|_'", 5),
+        ("[a:b |x]", "expected '_'", 6),
+        ("[a:b |_ x]", "expected ']'", 8),
+        ("[a:b (c)]", "expected ',', ']' or '|_'", 5),
+        ("[a:b(c)]", "unexpected '(' after 'b'", 4),
+        ("[a:]", "expected a value", 3),
+        ("[a:!]", "expected atom after '!'", 4),
+        ("[a:@]", "expected tag number after '@'", 4),
+        ("[a:@1]", "unresolved tag @1", 5),
+        ("[a:@1=[], b:@1=[]]", "tag @1 defined twice", 15),
+        ("[a:@1=b]", "tag must name a structure, sequence or set", 6),
+        ("[a:'b]", "unterminated quoted atom", 3),
+        ("[a:b-(c]", "unterminated concept gloss", 6),
+        ("[a:b-( )]", "empty concept gloss", 6),
+        ("[a:f_x(b)]", "derived concept must wrap a concept", 8),
+        ("[a:<b c>]", "expected '>'", 6),
+        ("[a:{b, [c:d]}]", "braces must hold only atoms or only structures", 13),
+        ("[a:b] x", "trailing text after feature structure", 6),
+    ],
+)
+def test_syntax_error_message_and_position(text, message, position):
+    with pytest.raises(FSSyntaxError) as info:
+        parse_fs_text(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_parser_interns_names_and_atoms():
+    # each text holds its own copy of every name and atom; parsing leaves
+    # one string object for each
+    one = parse_fs_text("[agr:pres-x, neg:!pres-x, set:{pres-x, past-x}]")
+    two = parse_fs_text("[agr : 'pres-x', inner:[agr:pres-x|_]]")
+    atom = one["agr"]
+    assert one["neg"].atom is atom
+    assert atom in one["set"] and next(a for a in one["set"] if a == atom) is atom
+    assert two["agr"] is atom
+    assert two["inner"]["agr"] is atom
+    name = next(iter(one.keys()))
+    assert next(iter(two.keys())) is name
+    assert next(iter(two["inner"].keys())) is name
+
+
 # --------------------------------------------------------------- rendering
 
 def test_render_compact_simple():

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turklex import fsdb
 from turklex._data import bundled_path
 from turklex.catmap import Cat5
 from turklex.featstruct import (
@@ -128,6 +130,46 @@ class TestLoad:
         )
         with pytest.raises(DatabaseFormatError, match="stem"):
             load(path)
+
+    def test_equal_atoms_and_names_are_one_object(self, seed_db):
+        (kaz,) = lookup(seed_db, PRED, "kaz")
+        (var,) = lookup(seed_db, Cat5.from_text("verb,existential"), "var")
+        assert kaz.fs["cat"]["sub"] == "none"
+        assert var.fs["cat"]["sub"] is kaz.fs["cat"]["sub"]
+        assert var.cat.sub is kaz.fs["cat"]["sub"]
+        (name,) = (k for k in kaz.fs.keys() if k == "cat")
+        assert next(k for k in var.fs.keys() if k == "cat") is name
+
+    def test_collector_state_restored(self, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.fdb"
+        bad.write_text("lexeme a,b := [x:y]\n", encoding="utf-8")
+        was_enabled = gc.isenabled()
+        seen = []
+
+        def parse(text):
+            seen.append(gc.isenabled())
+            return parse_fs_text(text)
+
+        monkeypatch.setattr(fsdb, "parse_fs_text", parse)
+        try:
+            gc.enable()
+            load(bundled_path("lexicon.fdb"))
+            assert gc.isenabled()
+            assert seen and not any(seen)  # paused while the clauses are built
+            with pytest.raises(DatabaseFormatError):
+                load(bad)
+            assert gc.isenabled()
+            gc.disable()
+            load(bundled_path("lexicon.fdb"))
+            assert not gc.isenabled()
+            with pytest.raises(DatabaseFormatError):
+                load(bad)
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestDefaults:

@@ -8,7 +8,6 @@ from turklex.morph import (
     AnalyzerTable,
     MorphParse,
     ParseFormatError,
-    analyze,
     map_value,
     normalize_root,
     parse_parse_string,
@@ -192,15 +191,15 @@ class TestAnalyzerTable:
         [("atIm", 3), ("memnunum", 3), ("ekim", 3), ("kazma", 3), ("ekimde", 2), ("akIllIca", 1)],
     )
     def test_fixture_counts(self, table, surface, count):
-        assert len(analyze(surface, table)) == count
+        assert len(table.lookup(surface)) == count
 
     def test_unknown_surface(self, table):
-        assert analyze("yok", table) == []
+        assert table.lookup("yok") == []
 
     def test_lookup_returns_fresh_copies(self, table):
-        first = analyze("atIm", table)
+        first = table.lookup("atIm")
         first[0].pairs.append(("CASE", "LOC"))
-        assert analyze("atIm", table)[0].pairs[-1] != ("CASE", "LOC")
+        assert table.lookup("atIm")[0].pairs[-1] != ("CASE", "LOC")
 
     def test_load_reports_line_numbers(self, tmp_path):
         bad = tmp_path / "table.tsv"
