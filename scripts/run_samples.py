@@ -14,9 +14,9 @@ from pathlib import Path
 # run from a checkout without installing: the package is in ../src
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from turklex.cli import _render_full
+from turklex.cli import _print_outcome
 from turklex.engine import LexiconEngine
-from turklex.featstruct import parse_fs_text, render_fs
+from turklex.featstruct import parse_fs_text
 
 SAMPLES = [
     "[phon:atIm]",
@@ -41,16 +41,7 @@ def main():
         print("=" * 72)
         print(f"Query: {text}")
         print("=" * 72)
-        trace = engine.run(parse_fs_text(text))
-        for line in _render_full(trace, args.style):
-            print(line)
-        print(f"Number of feature structures: {len(trace.results)}")
-        for i, fs in enumerate(trace.results, 1):
-            if args.style == "indented":
-                print(f"{i}:")
-                print(render_fs(fs, style="indented"))
-            else:
-                print(f"{i}: {render_fs(fs)}")
+        _print_outcome(engine.run(parse_fs_text(text)), "full", args.style)
         print()
 
 

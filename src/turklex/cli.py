@@ -49,15 +49,13 @@ from .morph import AnalyzerTable
 
 @dataclass
 class Config:
-    """Resolved data-file locations plus output settings."""
+    """Resolved data-file locations."""
 
     analyzer: Path
     rootmap: Path
     derivmap: Path
     db: Path
     categories: Path
-    trace: str = "counts"
-    style: str = "compact"
 
 
 def _fail(message: str, code: int) -> None:

@@ -25,15 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 from ._data import bundled_path
-from .catmap import (
-    NOT_FOUND,
-    Cat5,
-    DerivMapTable,
-    RootMapTable,
-    load_inventory,
-    map_derivation,
-    map_root,
-)
+from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .featstruct import (
     ABSENT,
     FAILURE,
@@ -136,7 +128,7 @@ class TransformedParse:
 
 
 def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
-              trace: Optional[QueryTrace] = None) -> Optional[TransformedParse]:
+              trace: QueryTrace) -> Optional[TransformedParse]:
     """Map every level of a parse to a lexicon category.
 
     Returns None (after recording a skip) as soon as any level has no
@@ -145,31 +137,23 @@ def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
     """
     levels = split_levels(parse)
     lexical = levels[0]
-    cat = map_root(rootmap, lexical.proc_category, lexical.proc_type, lexical.root)
-    if cat is NOT_FOUND:
-        if trace is not None:
-            trace.events.append(
-                SkipRecord(lexical.proc_category, lexical.proc_type, lexical.root)
-            )
+    cat = rootmap.rows.get((lexical.proc_category, lexical.proc_type, lexical.root))
+    if cat is None:
+        trace.events.append(SkipRecord(lexical.proc_category, lexical.proc_type, lexical.root))
         return None
-    if trace is not None:
-        trace.events.append(
-            MappingRecord(lexical.proc_category, lexical.proc_type, lexical.root, cat)
-        )
+    trace.events.append(
+        MappingRecord(lexical.proc_category, lexical.proc_type, lexical.root, cat)
+    )
     tlevels = [TransformedLevel(cat, FeatStruct(list(lexical.inflections)), None)]
 
     for level in levels[1:]:
-        dcat = map_derivation(derivmap, level.proc_category, level.suffix)
-        if dcat is NOT_FOUND:
-            if trace is not None:
-                trace.events.append(
-                    SkipRecord(level.proc_category, level.proc_type, level.suffix)
-                )
+        dcat = derivmap.rows.get((level.proc_category, level.suffix))
+        if dcat is None:
+            trace.events.append(SkipRecord(level.proc_category, level.proc_type, level.suffix))
             return None
-        if trace is not None:
-            trace.events.append(
-                MappingRecord(level.proc_category, level.proc_type, level.suffix, dcat)
-            )
+        trace.events.append(
+            MappingRecord(level.proc_category, level.proc_type, level.suffix, dcat)
+        )
         tlevels.append(
             TransformedLevel(dcat, FeatStruct(list(level.inflections)), level.suffix)
         )
@@ -192,8 +176,7 @@ def partial_outer_fs(tp: TransformedParse, surface: str) -> FeatStruct:
     return FeatStruct([("cat", outer.cat.as_fs()), ("morph", morph), ("phon", surface)])
 
 
-def early_filter(tps, query_fs: FeatStruct, surface: str,
-                 trace: Optional[QueryTrace] = None) -> list:
+def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> list:
     """Drop parses whose outermost level already contradicts the query.
 
     Only the query's ``cat`` and ``morph`` blocks take part: the partial
@@ -206,7 +189,7 @@ def early_filter(tps, query_fs: FeatStruct, surface: str,
         partial = partial_outer_fs(tp, surface)
         if subsumes(restriction, partial):
             keep.append(tp)
-        elif trace is not None:
+        else:
             trace.events.append(EliminationRecord(partial))
     return keep
 
@@ -215,7 +198,7 @@ def early_filter(tps, query_fs: FeatStruct, surface: str,
 # phase 4: retrieval
 
 def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
-                  trace: Optional[QueryTrace] = None) -> Optional[FeatStruct]:
+                  trace: QueryTrace) -> Optional[FeatStruct]:
     """Wrap ``stem_fs`` into a derived structure for one derivation level.
 
     The category's template supplies the skeleton: template morph features
@@ -224,12 +207,10 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
     stem (sharing the stem's objects, so co-indexing survives), and the
     concept is wrapped by the derivational suffix.
     """
-    if trace is not None:
-        trace.events.append(TfsdbAccess(level.cat))
+    trace.events.append(TfsdbAccess(level.cat))
     template = lookup_template(db, level.cat)
     if template is None:
-        if trace is not None:
-            trace.events.append(DropRecord(f"no template for {level.cat.render()}"))
+        trace.events.append(DropRecord(f"no template for {level.cat.render()}"))
         return None
 
     stem_fs["phon"] = "none"  # only the outermost level keeps the surface form
@@ -282,13 +263,11 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
     return result
 
 
-def retrieve(tp: TransformedParse, db: Database, surface: str,
-             trace: Optional[QueryTrace] = None) -> list:
+def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace) -> list:
     """Annotated structures for every sense of a transformed parse."""
     lexical = tp.levels[0]
     senses = lookup(db, lexical.cat, tp.root)
-    if trace is not None:
-        trace.events.append(FsdbAccess(lexical.cat, tp.root, len(senses)))
+    trace.events.append(FsdbAccess(lexical.cat, tp.root, len(senses)))
 
     results = []
     for entry in senses:
@@ -297,10 +276,7 @@ def retrieve(tp: TransformedParse, db: Database, surface: str,
         if len(lexical.inflections):
             fs = unify(entry.fs, FeatStruct([("morph", lexical.inflections)]))
             if fs is FAILURE:
-                if trace is not None:
-                    trace.events.append(
-                        DropRecord(f"inflections conflict with a sense of {tp.root}")
-                    )
+                trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
                 continue
         else:
             fs = copy_fs(entry.fs)
@@ -352,36 +328,32 @@ class LexiconEngine:
         )
 
     def run(self, query_fs: FeatStruct, use_early_filter: bool = True) -> QueryTrace:
-        return run_query(self, query_fs, use_early_filter=use_early_filter)
+        """Answer a query, returning the full trace (results included)."""
+        if not isinstance(query_fs, FeatStruct):
+            raise QueryError("query must be a feature structure")
+        phon = query_fs.get("phon")
+        if phon is ABSENT or not isinstance(phon, str):
+            raise QueryError("query must specify an atomic phon feature")
+
+        trace = QueryTrace(surface=phon)
+        trace.parses = self.analyzer.lookup(phon)
+
+        for parse in trace.parses:
+            tp = transform(parse, self.rootmap, self.derivmap, trace)
+            if tp is not None:
+                trace.transformed.append(tp)
+
+        if use_early_filter:
+            trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace)
+        else:
+            trace.satisfying = list(trace.transformed)
+
+        for tp in trace.satisfying:
+            trace.retrieved.extend(retrieve(tp, self.db, phon, trace))
+
+        trace.results = final_filter(trace.retrieved, query_fs)
+        return trace
 
     def query(self, query_fs: FeatStruct, use_early_filter: bool = True) -> list:
         return self.run(query_fs, use_early_filter=use_early_filter).results
 
-
-def run_query(engine: LexiconEngine, query_fs: FeatStruct,
-              use_early_filter: bool = True) -> QueryTrace:
-    """Answer a query, returning the full trace (results included)."""
-    if not isinstance(query_fs, FeatStruct):
-        raise QueryError("query must be a feature structure")
-    phon = query_fs.get("phon")
-    if phon is ABSENT or not isinstance(phon, str):
-        raise QueryError("query must specify an atomic phon feature")
-
-    trace = QueryTrace(surface=phon)
-    trace.parses = engine.analyzer.lookup(phon)
-
-    for parse in trace.parses:
-        tp = transform(parse, engine.rootmap, engine.derivmap, trace)
-        if tp is not None:
-            trace.transformed.append(tp)
-
-    if use_early_filter:
-        trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace)
-    else:
-        trace.satisfying = list(trace.transformed)
-
-    for tp in trace.satisfying:
-        trace.retrieved.extend(retrieve(tp, engine.db, phon, trace))
-
-    trace.results = final_filter(trace.retrieved, query_fs)
-    return trace

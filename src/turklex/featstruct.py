@@ -38,42 +38,23 @@ import re
 import sys
 
 
-class Failure:
-    """Distinguished unification-failure value."""
+class _Sentinel:
+    """A distinguished value, compared by ``is`` and false in a test."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "<unification failure>"
+        return self._name
 
     def __bool__(self):
         return False
 
 
-class Absent:
-    """Distinguished missing-value marker returned by path lookups."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<absent>"
-
-    def __bool__(self):
-        return False
-
-
-FAILURE = Failure()
-ABSENT = Absent()
+FAILURE = _Sentinel("<unification failure>")  # unify's result on a clash
+ABSENT = _Sentinel("<absent>")  # a path lookup's result where no value is
 
 
 class Neg:

@@ -21,8 +21,9 @@ import logging
 import re
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
+
+from ._data import read_rows
 
 log = logging.getLogger(__name__)
 
@@ -200,7 +201,6 @@ class Level:
     processor's category atoms, already lowercased/mapped for table lookup.
     """
 
-    kind: str  # "lexical" or "derived"
     proc_category: str
     proc_type: str = "none"
     root: Optional[str] = None
@@ -214,17 +214,13 @@ def split_levels(parse: MorphParse) -> list:
     current: Optional[Level] = None
     for key, value in parse.pairs:
         if key == "CAT":
-            current = Level(kind="lexical", proc_category=value.lower())
+            current = Level(proc_category=value.lower())
         elif key == "ROOT":
             current.root = normalize_root(value)
         elif key == "CONV":
             levels.append(current)
             target, suffix = value
-            current = Level(
-                kind="derived",
-                proc_category=target.lower(),
-                suffix=map_value(suffix),
-            )
+            current = Level(proc_category=target.lower(), suffix=map_value(suffix))
         elif key == "TYPE":
             current.proc_type = map_value(value)
         else:
@@ -243,22 +239,12 @@ class AnalyzerTable:
     def load(cls, path) -> "AnalyzerTable":
         """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate."""
         table: dict = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'surface<TAB>parse', got {len(fields)} fields"
-                    )
-                surface, parse_text = fields
-                try:
-                    parse = parse_parse_string(parse_text)
-                except ParseFormatError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                table.setdefault(sys.intern(surface), []).append(parse)
+        for lineno, (surface, parse_text) in read_rows(path, 2):
+            try:
+                parse = parse_parse_string(parse_text)
+            except ParseFormatError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            table.setdefault(sys.intern(surface), []).append(parse)
         return cls(table)
 
     def lookup(self, surface: str) -> list:

@@ -3,15 +3,7 @@
 import pytest
 
 from turklex._data import bundled_path
-from turklex.catmap import (
-    NOT_FOUND,
-    Cat5,
-    DerivMapTable,
-    RootMapTable,
-    load_inventory,
-    map_derivation,
-    map_root,
-)
+from turklex.catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from turklex.featstruct import FeatStruct
 
 
@@ -45,6 +37,12 @@ class TestCat5:
     def test_too_many_slots_rejected(self):
         with pytest.raises(ValueError):
             Cat5.from_text("a,b,c,d,e,f")
+
+    @pytest.mark.parametrize("text", ["nominal,,common", "nominal,", ",noun", "nominal, ,noun"])
+    def test_empty_slot_rejected(self, text):
+        # dropping an empty slot would shift the later slots left
+        with pytest.raises(ValueError, match="comma-separated atoms"):
+            Cat5.from_text(text)
 
     def test_as_fs(self):
         fs = Cat5.from_text("verb,attributive").as_fs()
@@ -91,7 +89,7 @@ class TestRootMap:
         ],
     )
     def test_known_rows(self, rootmap, key, cat):
-        assert map_root(rootmap, *key) == Cat5.from_text(cat)
+        assert rootmap.rows.get(key) == Cat5.from_text(cat)
 
     @pytest.mark.parametrize(
         "key",
@@ -103,7 +101,7 @@ class TestRootMap:
         ],
     )
     def test_missing_rows(self, rootmap, key):
-        assert map_root(rootmap, *key) is NOT_FOUND
+        assert rootmap.rows.get(key) is None
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "rootmap.tsv"
@@ -145,11 +143,11 @@ class TestDerivMap:
         ],
     )
     def test_known_rows(self, derivmap, key, cat):
-        assert map_derivation(derivmap, *key) == Cat5.from_text(cat)
+        assert derivmap.rows.get(key) == Cat5.from_text(cat)
 
     def test_missing_row(self, derivmap):
-        assert map_derivation(derivmap, "noun", "acak") is NOT_FOUND
-        assert map_derivation(derivmap, "pronoun", "none") is NOT_FOUND
+        assert derivmap.rows.get(("noun", "acak")) is None
+        assert derivmap.rows.get(("pronoun", "none")) is None
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "derivmap.tsv"

@@ -1,0 +1,89 @@
+"""Tests for the shared row reader of the four tab-separated tables."""
+
+import re
+
+import pytest
+
+from turklex._data import read_rows
+from turklex.catmap import DerivMapTable, RootMapTable, load_inventory
+from turklex.morph import AnalyzerTable
+
+GOOD_ROWS = {
+    "categories.tsv": "nominal,noun,common,none,none\n",
+    "analyzer.tsv": "at\t[[CAT=NOUN][ROOT=at]]\n",
+    "rootmap.tsv": "noun\tnone\tat\tnominal,noun,common,none,none\n",
+    "derivmap.tsv": "verb\tnone\tverb,attributive,none,none,none\n",
+}
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def located(path, lineno):
+    return re.escape(f"{path}:{lineno}:")
+
+
+class TestReadRows:
+    def test_rows_numbered_by_file_line(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "# comment\n\n  \na\tb\n  # indented comment\nc\td\n")
+        assert list(read_rows(path, 2)) == [(4, ["a", "b"]), (6, ["c", "d"])]
+
+    def test_fields_are_stripped(self, tmp_path):
+        path = write(tmp_path, "t.tsv", " a \t b c \n")
+        assert list(read_rows(path, 2)) == [(1, ["a", "b c"])]
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "a\tb\na\tb\tc\n")
+        message = located(path, 2) + " expected 2 tab-separated fields, got 3"
+        with pytest.raises(ValueError, match=message):
+            list(read_rows(path, 2))
+
+
+class TestFieldCount:
+    @pytest.mark.parametrize(
+        "name, load, bad_row",
+        [
+            ("categories.tsv", load_inventory, "nominal,noun\tnominal,pronoun\n"),
+            ("analyzer.tsv", AnalyzerTable.load, "at\n"),
+            ("rootmap.tsv", RootMapTable.load, "noun\tat\tnominal,noun,common,none,none\n"),
+            ("derivmap.tsv", DerivMapTable.load, "verb\tnone\tx\tverb,attributive\n"),
+        ],
+    )
+    def test_wrong_field_count_fails_with_file_line(self, tmp_path, name, load, bad_row):
+        path = write(tmp_path, name, GOOD_ROWS[name] + bad_row)
+        with pytest.raises(ValueError, match=located(path, 2) + ".*fields"):
+            load(path)
+
+    def test_category_line_holding_a_tab_rejected(self, tmp_path):
+        # a tab separates fields; it is never part of a category
+        path = write(tmp_path, "categories.tsv", "nominal\tnoun\n")
+        with pytest.raises(ValueError, match=located(path, 1) + ".*fields"):
+            load_inventory(path)
+
+    @pytest.mark.parametrize("row", [
+        "\tat\t[[CAT=NOUN][ROOT=at]]\n",
+        "at\t[[CAT=NOUN][ROOT=at]]\t\n",
+        "\t[[CAT=NOUN][ROOT=at]]\n",
+    ])
+    def test_analyzer_line_with_outer_tab_rejected(self, tmp_path, row):
+        # an outer tab makes an empty field, not whitespace to strip
+        path = write(tmp_path, "analyzer.tsv", GOOD_ROWS["analyzer.tsv"] + row)
+        with pytest.raises(ValueError, match=located(path, 2)):
+            AnalyzerTable.load(path)
+
+    def test_empty_key_field_rejected(self, tmp_path):
+        path = write(tmp_path, "rootmap.tsv", "noun\t \tat\tnominal,noun,common\n")
+        with pytest.raises(ValueError, match=located(path, 1) + " field 2 is empty"):
+            RootMapTable.load(path)
+
+    @pytest.mark.parametrize("name, load, bad_row", [
+        ("rootmap.tsv", RootMapTable.load, "noun\tnone\tev\tnominal,,common\n"),
+        ("derivmap.tsv", DerivMapTable.load, "noun\tma\tnominal,\n"),
+    ])
+    def test_bad_category_in_mapping_names_file_and_line(self, tmp_path, name, load, bad_row):
+        path = write(tmp_path, name, GOOD_ROWS[name] + bad_row)
+        with pytest.raises(ValueError, match=located(path, 2) + " expected 1-5"):
+            load(path)

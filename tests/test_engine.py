@@ -10,6 +10,7 @@ from turklex.engine import (
     FsdbAccess,
     MappingRecord,
     QueryError,
+    QueryTrace,
     SkipRecord,
     TfsdbAccess,
     TransformedLevel,
@@ -51,7 +52,7 @@ def tlevel(cat, inflections=(), suffix=None):
 class TestTransform:
     def test_lexical_mapping(self, engine):
         parse = parse_parse_string("[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=1SG][CASE=NOM]]")
-        tp = transform(parse, engine.rootmap, engine.derivmap)
+        tp = transform(parse, engine.rootmap, engine.derivmap, QueryTrace(surface="x"))
         assert tp.root == "at"
         assert len(tp.levels) == 1
         level = tp.levels[0]
@@ -66,13 +67,11 @@ class TestTransform:
             "[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=NONE][CASE=NOM]"
             "[CONV=VERB=NONE][TAM2=PRES][AGR=1SG]]"
         )
-        tp = transform(parse, engine.rootmap, engine.derivmap)
+        tp = transform(parse, engine.rootmap, engine.derivmap, QueryTrace(surface="x"))
         assert [level.cat for level in tp.levels] == [COMMON, ATTR]
         assert tp.levels[1].suffix == "none"
 
     def test_unknown_root_skips(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="atIm")
         parse = parse_parse_string("[[CAT=NOUN][ROOT=atIm][AGR=3SG][POSS=NONE][CASE=NOM]]")
         assert transform(parse, engine.rootmap, engine.derivmap, trace) is None
@@ -82,8 +81,6 @@ class TestTransform:
         assert trace.events_of(MappingRecord) == []
 
     def test_unknown_derivation_skips(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="x")
         parse = parse_parse_string("[[CAT=NOUN][ROOT=at][CONV=NOUN=ACAK]]")
         assert transform(parse, engine.rootmap, engine.derivmap, trace) is None
@@ -93,8 +90,6 @@ class TestTransform:
         assert len(trace.events_of(MappingRecord)) == 1
 
     def test_mapping_records_carry_categories(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="x")
         parse = parse_parse_string(
             "[[CAT=VERB][ROOT=kaz][SENSE=POS][CONV=NOUN=MA][TYPE=INFINITIVE]"
@@ -133,26 +128,27 @@ class TestEarlyFilter:
 
     def test_no_restriction_keeps_everything(self):
         tps = [TransformedParse("at", [tlevel(COMMON)])]
-        assert early_filter(tps, q("[phon:atIm]"), "atIm") == tps
+        assert early_filter(tps, q("[phon:atIm]"), "atIm", QueryTrace(surface="atIm")) == tps
 
     def test_value_conflict_eliminates(self):
         tps = [TransformedParse("at", [tlevel(COMMON, [("poss", "none")])])]
-        assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm") == []
+        assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
+                            QueryTrace(surface="atIm")) == []
 
     def test_absence_eliminates(self):
         # closed-world: a level without poss cannot satisfy a poss restriction
         tps = [TransformedParse("at", [tlevel(COMMON, [("agr", "3sg")])])]
-        assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm") == []
+        assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
+                            QueryTrace(surface="atIm")) == []
 
     def test_sem_restrictions_do_not_eliminate(self):
         # the partial structure has no sem block, so sem must wait for phase 4
         tps = [TransformedParse("at", [tlevel(COMMON)])]
-        kept = early_filter(tps, q("[phon:atIm, sem:[animate:'-']]"), "atIm")
+        kept = early_filter(tps, q("[phon:atIm, sem:[animate:'-']]"), "atIm",
+                            QueryTrace(surface="atIm"))
         assert kept == tps
 
     def test_elimination_recorded(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="atIm")
         tps = [TransformedParse("at", [tlevel(COMMON, [("poss", "none")])])]
         early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm", trace)
@@ -170,7 +166,7 @@ class TestBuildDerived:
 
     def test_template_order_with_overrides(self, engine):
         level = tlevel(ATTR, [("tam2", "pres"), ("agr", "1sg")], suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db)
+        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert list(fs["morph"].keys()) == [
             "stem", "form", "derv_suffix", "tam2", "copula", "agr",
         ]
@@ -181,12 +177,12 @@ class TestBuildDerived:
 
     def test_leftover_inflections_appended(self, engine):
         level = tlevel(ATTR, [("tam2", "pres"), ("polarity", "pos")], suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db)
+        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert list(fs["morph"].keys())[-1] == "polarity"
 
     def test_concept_wrapping(self, engine):
         level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db)
+        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
         concept = fs["sem"]["concept"]
         assert isinstance(concept, DerivedConcept)
         assert repr(concept) == "none(at-(horse))"
@@ -194,7 +190,7 @@ class TestBuildDerived:
     def test_stem_phon_forced_to_none(self, engine):
         stem = self.stem(engine)
         level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, stem, engine.db)
+        fs = build_derived(level, stem, engine.db, QueryTrace(surface="x"))
         assert fs["morph"]["stem"] is stem
         assert stem["phon"] == "none"
         assert fs["phon"] == "none"
@@ -206,7 +202,7 @@ class TestBuildDerived:
         (kaz,) = lookup(engine.db, Cat5.from_text("verb,predicative"), "kaz")
         stem = copy.deepcopy(kaz.fs)
         level = tlevel(Cat5.from_text("nominal,sentential,act,infinitive,ma"), suffix="ma")
-        fs = build_derived(level, stem, engine.db)
+        fs = build_derived(level, stem, engine.db, QueryTrace(surface="x"))
         assert fs["syn"]["subcat"] is stem["syn"]["subcat"]
         assert isinstance(fs["syn"]["subcat"], Seq)
         # thematic roles travel with the stem too, preserving co-indexing
@@ -214,21 +210,19 @@ class TestBuildDerived:
 
     def test_atomic_subcat_copied(self, engine):
         level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db)
+        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert fs["syn"]["subcat"] == "none"
 
     def test_template_extras_filled(self, engine):
         # the qualitative-adjective template contributes modifies/gradable
         level = tlevel(Cat5.from_text("adjectival,adjective,qualitative"), suffix="lI")
-        fs = build_derived(level, self.stem(engine), engine.db)
+        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert get_path(fs, "syn|modifies|cat|min") == "noun"
         assert fs["sem"]["gradable"] == "-"
         assert fs["sem"]["questional"] == "-"
         assert fs["morph"]["poss"] == "none"
 
     def test_missing_template_drops(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="x")
         level = tlevel(Cat5.from_text("verb,existential"), suffix="none")
         assert build_derived(level, self.stem(engine), engine.db, trace) is None
@@ -239,12 +233,10 @@ class TestBuildDerived:
 class TestRetrieve:
     def test_sense_multiplicity(self, engine):
         tp = TransformedParse("ek", [tlevel(COMMON, [("case", "nom")])])
-        results = retrieve(tp, engine.db, "ek")
+        results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         assert len(results) == 2
 
     def test_access_recorded_with_count(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="ek")
         tp = TransformedParse("ek", [tlevel(COMMON)])
         retrieve(tp, engine.db, "ek", trace)
@@ -253,16 +245,14 @@ class TestRetrieve:
 
     def test_unknown_root_empty(self, engine):
         tp = TransformedParse("yol", [tlevel(COMMON)])
-        assert retrieve(tp, engine.db, "yol") == []
+        assert retrieve(tp, engine.db, "yol", QueryTrace(surface="yol")) == []
 
     def test_outermost_phon_is_surface(self, engine):
         tp = TransformedParse("at", [tlevel(COMMON, [("poss", "1sg")])])
-        (fs,) = retrieve(tp, engine.db, "atIm")
+        (fs,) = retrieve(tp, engine.db, "atIm", QueryTrace(surface="atIm"))
         assert fs["phon"] == "atIm"
 
     def test_conflicting_inflections_drop_sense(self, engine):
-        from turklex.engine import QueryTrace
-
         trace = QueryTrace(surface="at")
         # "form" clashes with the entry's morph|form=lexical
         tp = TransformedParse("at", [tlevel(COMMON, [("form", "derived")])])
@@ -271,9 +261,9 @@ class TestRetrieve:
 
     def test_results_do_not_alias_database(self, engine):
         tp = TransformedParse("at", [tlevel(COMMON)])
-        (fs,) = retrieve(tp, engine.db, "at")
+        (fs,) = retrieve(tp, engine.db, "at", QueryTrace(surface="at"))
         fs["sem"]["animate"] = "-"
-        (fresh,) = retrieve(tp, engine.db, "at")
+        (fresh,) = retrieve(tp, engine.db, "at", QueryTrace(surface="at"))
         assert fresh["sem"]["animate"] == "+"
 
 
@@ -313,14 +303,14 @@ class TestRetrieve:
 class TestFinalFilter:
     def test_full_query_subsumption(self, engine):
         tp = TransformedParse("ek", [tlevel(COMMON)])
-        results = retrieve(tp, engine.db, "ek")
+        results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         kept = final_filter(results, q("[phon:ek, sem:[concept:ek-(appendix)]]"))
         assert len(kept) == 1
         assert kept[0]["sem"]["concept"].gloss == "appendix"
 
     def test_absent_path_eliminates(self, engine):
         tp = TransformedParse("ek", [tlevel(COMMON)])
-        results = retrieve(tp, engine.db, "ek")
+        results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         assert final_filter(results, q("[phon:ek, morph:[poss:'1sg']]")) == []
 
 

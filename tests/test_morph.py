@@ -127,7 +127,6 @@ class TestValueNormalisation:
 class TestSplitLevels:
     def test_single_level(self):
         (level,) = split_levels(parse_parse_string(ATIM_NOMINAL))
-        assert level.kind == "lexical"
         assert level.proc_category == "noun"
         assert level.proc_type == "none"
         assert level.root == "at"
@@ -140,13 +139,11 @@ class TestSplitLevels:
 
     def test_two_levels(self):
         lexical, derived = split_levels(parse_parse_string(ATIM_VERBAL))
-        assert lexical.kind == "lexical"
         assert lexical.inflections == [
             ("agr", "3sg"),
             ("poss", "none"),
             ("case", "nom"),
         ]
-        assert derived.kind == "derived"
         assert derived.proc_category == "verb"
         assert derived.suffix == "none"
         assert derived.root is None
