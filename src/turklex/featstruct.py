@@ -7,10 +7,14 @@ Values stored inside a :class:`FeatStruct` are one of:
 * :class:`Neg` — a negated atom (``!none``), matching any atom except its own
 * :class:`BaseConcept` / :class:`DerivedConcept` — concept terms
   (``at-(horse)``, ``f_lI(akIl-(intelligence))``, ``none(at-(horse))``)
-* :class:`FeatStruct` — a nested structure
+* :class:`FeatStruct` — a nested structure: a ``dict`` from feature names
+  to values, whose ``get`` answers :data:`ABSENT` for a missing name
 * :class:`Seq` — an ordered sequence ``<...>`` (subcategorization lists)
 * :class:`FSSet` — an unordered set of structures ``{[...], [...]}``
   (disjunctive constraint sets)
+
+Every structure is open: unification may add features to it.  The text
+syntax's trailing ``|_`` marker is accepted and changes nothing.
 
 Co-indexing is physical object sharing: the text syntax ``@n=value`` /
 ``@n`` resolves to one shared object at parse time, and the renderer
@@ -184,62 +188,36 @@ class FSSet:
         return "{" + ", ".join(repr(i) for i in self.items) + "}"
 
 
-class FeatStruct:
+class FeatStruct(dict):
     """Ordered mapping from feature names to values.
 
-    Open structures (the default) admit new features during unification;
-    closed structures reject them.  Nothing in the text syntax produces a
-    closed structure — closedness is an API-level construct.
+    A ``dict`` except that :meth:`get` answers :data:`ABSENT` for a missing
+    name, a structure equals only another structure, and the constructor
+    rejects a repeated name.
     """
 
-    __slots__ = ("_data", "open")
+    __slots__ = ()
 
-    def __init__(self, pairs=None, open: bool = True):
-        self._data: dict = {}
-        self.open = open
-        if pairs is not None:
-            it = pairs.items() if isinstance(pairs, dict) else pairs
-            for name, value in it:
-                if name in self._data:
-                    raise ValueError(f"duplicate feature name {name!r}")
-                self._data[name] = value
-
-    def keys(self):
-        return self._data.keys()
-
-    def items(self):
-        return self._data.items()
-
-    def values(self):
-        return self._data.values()
+    def __init__(self, pairs=()):
+        super().__init__()
+        for name, value in pairs.items() if isinstance(pairs, dict) else pairs:
+            if name in self:
+                raise ValueError(f"duplicate feature name {name!r}")
+            self[name] = value
 
     def get(self, name, default=ABSENT):
-        return self._data.get(name, default)
-
-    def __getitem__(self, name):
-        return self._data[name]
-
-    def __setitem__(self, name, value):
-        self._data[name] = value
-
-    def __delitem__(self, name):
-        del self._data[name]
-
-    def __contains__(self, name):
-        return name in self._data
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self):
-        return len(self._data)
+        return dict.get(self, name, default)
 
     def __eq__(self, other):
         """Content equality, feature-order-insensitive, sharing-blind.
 
         Use :func:`fs_equal` when sharing topology matters.
         """
-        return isinstance(other, FeatStruct) and self._data == other._data
+        return isinstance(other, FeatStruct) and dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        # dict's own != would find a structure equal to a plain dict
+        return not self == other
 
     def __repr__(self):
         return render_fs(self)
@@ -335,8 +313,8 @@ class _Parser:
                 self.pos += 1
                 continue
             if c == "|":
-                # trailing openness marker |_ — accepted; structures are
-                # open by default, so this only re-states the default
+                # trailing openness marker |_ — accepted; every structure
+                # is open, so it changes nothing
                 self.pos += 1
                 self.expect("_")
                 self.ws()
@@ -458,7 +436,8 @@ class _Parser:
 def parse_fs_text(text: str) -> FeatStruct:
     """Parse the compact text syntax into a feature structure.
 
-    Raises :class:`FSSyntaxError` (with position) on malformed input,
+    Returns a :class:`FeatStruct`, since the text must open with ``[``, or
+    raises :class:`FSSyntaxError` (with position) on malformed input,
     duplicate feature names, and unresolved tags.
     """
     return _Parser(text).parse_top()
@@ -466,27 +445,29 @@ def parse_fs_text(text: str) -> FeatStruct:
 
 # --------------------------------------------------------------- rendering
 
-def _walk_nodes(value, counts, keep):
+def _walk_nodes(value, counts):
+    """Count the references to each node in ``value``, by ``id``.  Every
+    node walked stays reachable from the root, so no ``id`` is reused."""
     if isinstance(value, (FeatStruct, Seq, FSSet)):
         i = id(value)
         if i in counts:
             counts[i] += 1
             return
         counts[i] = 1
-        keep.append(value)
-        if isinstance(value, FeatStruct):
-            for v in value.values():
-                _walk_nodes(v, counts, keep)
-        else:
-            for v in value.items:
-                _walk_nodes(v, counts, keep)
+        for v in value.values() if isinstance(value, FeatStruct) else value.items:
+            _walk_nodes(v, counts)
+
+
+def _quote(atom: str) -> str:
+    """``atom`` as the parser reads it back: bare, or quoted if it holds a
+    character outside ``[A-Za-z0-9_.+/-]`` or is empty."""
+    return atom if _ATOM_RE.fullmatch(atom) else f"'{atom}'"
 
 
 class _Renderer:
     def __init__(self, root):
         counts: dict[int, int] = {}
-        keep: list = []
-        _walk_nodes(root, counts, keep)
+        _walk_nodes(root, counts)
         self.shared = {i for i, n in counts.items() if n > 1}
         self.assigned: dict[int, int] = {}
         self.next_tag = 1
@@ -504,16 +485,11 @@ class _Renderer:
 
     def compact_value(self, value):
         if isinstance(value, str):
-            return value
+            return _quote(value)
         if isinstance(value, frozenset):
-            return "{" + ", ".join(sorted(value)) + "}"
-        if isinstance(value, Neg):
-            return f"!{value.atom}"
-        if isinstance(value, BaseConcept):
-            return f"{value.root}-({value.gloss})"
-        if isinstance(value, DerivedConcept):
-            head = "none" if value.suffix == "none" else f"f_{value.suffix}"
-            return f"{head}({self.compact_value(value.inner)})"
+            return "{" + ", ".join(map(_quote, sorted(value))) + "}"
+        if isinstance(value, (Neg, Concept)):
+            return repr(value)
         tag, emitted = self.tag_for(value)
         if emitted:
             return tag
@@ -529,15 +505,44 @@ class _Renderer:
 
     def indented_lines(self, fs) -> list[str]:
         lines: list[str] = []
-        _indent_fs(fs, 0, lines, self)
+        self.indent_parts(fs, 0, lines)
         return lines
+
+    def indent_parts(self, node, depth, lines):
+        """A node's features (``name:``) or items (``-`` in a sequence, ``*``
+        in a set), one head each, at ``depth``."""
+        if isinstance(node, FeatStruct):
+            for name, value in node.items():
+                self.indent(f"{name}:", value, depth, lines)
+        else:
+            bullet = "-" if isinstance(node, Seq) else "*"
+            for item in node.items:
+                self.indent(bullet, item, depth, lines)
+
+    def indent(self, head, value, depth, lines):
+        """``value`` after ``head``: a leaf or a tag reference on the head's
+        line, a node's parts on the lines below it.  A feature's empty
+        structure is written ``[]``; an empty item is its bare bullet."""
+        pad = "  " * depth
+        if isinstance(value, (str, frozenset, Neg, Concept)):
+            lines.append(f"{pad}{head} {self.compact_value(value)}")
+            return
+        tag, emitted = self.tag_for(value)
+        if emitted:
+            lines.append(f"{pad}{head} {tag}")
+        elif isinstance(value, FeatStruct) and not value and head.endswith(":"):
+            lines.append(f"{pad}{head} {tag}[]")
+        else:
+            lines.append(f"{pad}{head} {tag}" if tag else f"{pad}{head}")
+            self.indent_parts(value, depth + 1, lines)
 
 
 def render_fs(fs: FeatStruct, style: str = "compact") -> str:
     """Render a feature structure as text.
 
     ``compact`` round-trips through :func:`parse_fs_text` (sharing included,
-    via ``@n=``/``@n`` tags).  ``indented`` is a human-readable one-feature-
+    via ``@n=``/``@n`` tags; an atom that is not plain is quoted, so an atom
+    holding ``'`` cannot be written).  ``indented`` is a human-readable one-feature-
     per-line layout and is not meant to be parsed back.
     """
     if style == "compact":
@@ -545,57 +550,6 @@ def render_fs(fs: FeatStruct, style: str = "compact") -> str:
     if style == "indented":
         return "\n".join(_Renderer(fs).indented_lines(fs))
     raise ValueError(f"unknown style {style!r}")
-
-
-def _indent_fs(fs, depth, lines, renderer):
-    pad = "  " * depth
-    for name, value in fs.items():
-        _indent_pair(name, value, depth, lines, renderer, pad)
-
-
-def _indent_pair(name, value, depth, lines, renderer, pad):
-    if isinstance(value, (str, frozenset, Neg, Concept)):
-        lines.append(f"{pad}{name}: {renderer.compact_value(value)}")
-        return
-    tag, emitted = renderer.tag_for(value)
-    if emitted:
-        lines.append(f"{pad}{name}: {tag}")
-        return
-    label = f"{pad}{name}:" + (f" {tag}" if tag else "")
-    if isinstance(value, FeatStruct):
-        if not len(value):
-            lines.append(label + (" []" if not tag else "[]"))
-            return
-        lines.append(label)
-        _indent_fs(value, depth + 1, lines, renderer)
-    elif isinstance(value, Seq):
-        lines.append(label)
-        for item in value.items:
-            _indent_item(item, depth + 1, lines, renderer, bullet="-")
-    else:  # FSSet
-        lines.append(label)
-        for item in value.items:
-            _indent_item(item, depth + 1, lines, renderer, bullet="*")
-
-
-def _indent_item(item, depth, lines, renderer, bullet):
-    pad = "  " * depth
-    if isinstance(item, (str, frozenset, Neg, Concept)):
-        lines.append(f"{pad}{bullet} {renderer.compact_value(item)}")
-        return
-    tag, emitted = renderer.tag_for(item)
-    if emitted:
-        lines.append(f"{pad}{bullet} {tag}")
-        return
-    lines.append(f"{pad}{bullet}" + (f" {tag}" if tag else ""))
-    if isinstance(item, FeatStruct):
-        _indent_fs(item, depth + 1, lines, renderer)
-    elif isinstance(item, Seq):
-        for sub in item.items:
-            _indent_item(sub, depth + 1, lines, renderer, bullet="-")
-    else:
-        for sub in item.items:
-            _indent_item(sub, depth + 1, lines, renderer, bullet="*")
 
 
 # -------------------------------------------------------------- unification
@@ -628,11 +582,8 @@ def _copy_node(node, memo):
     new = cls.__new__(cls)
     memo[id(node)] = new  # before the children, so cycles terminate
     if cls is FeatStruct:
-        new.open = node.open
-        new._data = {
-            name: _copy_node(v, memo) if type(v) in _NODE_TYPES else v
-            for name, v in node._data.items()
-        }
+        for name, v in node.items():
+            new[name] = _copy_node(v, memo) if type(v) in _NODE_TYPES else v
     else:
         new.items = [
             _copy_node(v, memo) if type(v) in _NODE_TYPES else v
@@ -665,14 +616,7 @@ def _merge(a: FeatStruct, b: FeatStruct):
                 return FAILURE
             a[name] = merged
         else:
-            if not a.open:
-                return FAILURE
             a[name] = bv
-    if not b.open:
-        for name in a:
-            if name not in b:
-                return FAILURE
-        a.open = False
     return a
 
 
@@ -728,7 +672,7 @@ def _merge_values(x, y):
     if isinstance(x, FSSet):
         # constraint sets are never deeply unified by the pipeline:
         # equal-as-sets succeeds, anything else fails
-        if isinstance(y, FSSet) and _fsset_equal(x, y):
+        if isinstance(y, FSSet) and fs_equal(x, y):
             return x
         return FAILURE
     return FAILURE
@@ -743,20 +687,6 @@ def _set_minus(atoms: frozenset, removed: str):
     return frozenset(remaining)
 
 
-def _fsset_equal(x: FSSet, y: FSSet) -> bool:
-    if len(x.items) != len(y.items):
-        return False
-    remaining = list(y.items)
-    for mine in x.items:
-        for i, theirs in enumerate(remaining):
-            if fs_equal(mine, theirs):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
-
-
 # -------------------------------------------------------------- subsumption
 
 def subsumes(general: FeatStruct, specific: FeatStruct) -> bool:
@@ -764,6 +694,9 @@ def subsumes(general: FeatStruct, specific: FeatStruct) -> bool:
     ``specific`` and the values must unify.  A path absent from
     ``specific`` fails even though structures are open — this is the
     restriction-elimination semantics, not general lattice subsumption.
+
+    Sharing in ``general`` is not checked, only its path values: so
+    ``[x:@1=[a:b], y:@1]`` subsumes ``[x:[a:b], y:[a:b]]``.
     """
     return _subsumes_value(general, specific)
 
@@ -820,8 +753,7 @@ def project(fs: FeatStruct, top_features) -> FeatStruct:
     """Copy retaining only the listed top-level features."""
     memo = {}  # one memo keeps sharing among the kept features
     return FeatStruct(
-        [(k, copy_fs(v, memo)) for k, v in fs.items() if k in top_features],
-        open=fs.open,
+        [(k, copy_fs(v, memo)) for k, v in fs.items() if k in top_features]
     )
 
 
@@ -844,7 +776,7 @@ def _equal(a, b, fwd, rev) -> bool:
         fwd[ia] = ib
         rev[ib] = ia
         if isinstance(a, FeatStruct):
-            if a.open != b.open or set(a.keys()) != set(b.keys()):
+            if a.keys() != b.keys():
                 return False
             return all(_equal(v, b[k], fwd, rev) for k, v in a.items())
         if isinstance(a, Seq):

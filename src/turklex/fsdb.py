@@ -91,22 +91,12 @@ _COMMON_NOUN_FLAGS = (
 _CAT_SLOTS = ("maj", "min", "sub", "ssub", "sssub")
 
 
-def _prepend_feature(fs: FeatStruct, name: str, value) -> None:
-    data = {name: value}
-    data.update(fs._data)
-    fs._data = data
-
-
-def _insert_feature_before(fs: FeatStruct, name: str, value, before: str) -> None:
-    if before not in fs:
-        fs[name] = value
-        return
-    data = {}
-    for key, val in fs._data.items():
-        if key == before:
-            data[name] = value
-        data[key] = val
-    fs._data = data
+def _insert_feature(fs: FeatStruct, name: str, value, index: int) -> None:
+    """Make ``name`` the feature at position ``index`` of ``fs``."""
+    pairs = list(fs.items())
+    pairs.insert(index, (name, value))
+    fs.clear()
+    fs.update(pairs)
 
 
 def fill_entry_defaults(fs: FeatStruct, cat: Cat5) -> None:
@@ -118,9 +108,10 @@ def fill_entry_defaults(fs: FeatStruct, cat: Cat5) -> None:
     syn = fs.get("syn")
     if syn is ABSENT:
         syn = FeatStruct([("subcat", "none")])
-        _insert_feature_before(fs, "syn", syn, before="sem")
+        before_sem = list(fs).index("sem") if "sem" in fs else len(fs)
+        _insert_feature(fs, "syn", syn, before_sem)
     elif "subcat" not in syn:
-        _prepend_feature(syn, "subcat", "none")
+        _insert_feature(syn, "subcat", "none", 0)
 
     sem = fs.get("sem")
     if sem is ABSENT:
@@ -307,8 +298,6 @@ def _load(path) -> Database:
                 fs = parse_fs_text(fs_text)
             except FSSyntaxError as exc:
                 raise fail(f"bad feature structure: {exc}") from exc
-            if not isinstance(fs, FeatStruct):
-                raise fail("clause body must be a feature structure")
 
             if root is None:
                 template = TemplateEntry(cat, fs)

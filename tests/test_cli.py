@@ -188,6 +188,23 @@ class TestDbAddDelete:
         assert result.exit_code == 2
         assert lookup(load(tmp_db), COMMON, "yol") == []
 
+    def test_add_atom_that_is_not_plain_keeps_check_ok(self, runner, tmp_db):
+        entry = (
+            "[cat:[maj:nominal, min:noun, sub:common, ssub:none, sssub:none], "
+            "morph:[stem:at, form:lexical], "
+            "sem:[concept:at-(horse), note:'race horse', alias:'at-(horse)', mark:'!x'], "
+            "phon:at]"
+        )
+        add = runner.invoke(
+            main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common", "at", entry]
+        )
+        assert add.exit_code == 0, add.output
+        check = runner.invoke(main, ["--db", str(tmp_db), "check"])
+        assert check.exit_code == 0, check.output
+        assert "ok" in check.output
+        sem = lookup(load(tmp_db), COMMON, "at")[1].fs["sem"]
+        assert (sem["note"], sem["alias"], sem["mark"]) == ("race horse", "at-(horse)", "!x")
+
     def test_add_bad_fs_exits_2(self, runner, tmp_db):
         result = runner.invoke(
             main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol", "[oops"]

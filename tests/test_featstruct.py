@@ -41,6 +41,19 @@ def node_ids(value, seen=None):
     return seen
 
 
+# ---------------------------------------------------------- the node model
+
+def test_featstruct_is_a_dict_that_differs_in_four_ways():
+    fs = FeatStruct([("a", "x")])
+    assert isinstance(fs, dict) and dict(fs) == {"a": "x"}
+    assert fs.get("b") is ABSENT and fs.get("b", None) is None
+    assert fs != {"a": "x"} and not fs == {"a": "x"}
+    assert fs == FeatStruct({"a": "x"}) and not fs != FeatStruct({"a": "x"})
+    assert repr(fs) == "[a:x]"
+    with pytest.raises(ValueError, match="duplicate feature name 'a'"):
+        FeatStruct([("a", "x"), ("a", "y")])
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_parse_single_pair():
@@ -110,8 +123,7 @@ def test_parse_tags_share_objects():
 
 def test_parse_trailing_open_marker():
     fs = parse_fs_text("[agr:3sg|_]")
-    assert fs["agr"] == "3sg"
-    assert fs.open
+    assert fs == parse_fs_text("[agr:3sg]")
 
 
 def test_parse_errors():
@@ -218,6 +230,21 @@ def test_render_shared_substructure_uses_tags():
     assert again["a"] is again["b"]
 
 
+@pytest.mark.parametrize("atom", ["x y", "", "x,y", "@1", "!x", "at-(horse)", "x]"])
+def test_atom_that_is_not_plain_round_trips(atom):
+    fs = FeatStruct([("a", atom), ("b", frozenset({atom, "p"}))])
+    text = render_fs(fs)
+    back = parse_fs_text(text)
+    assert type(back["a"]) is str and back["a"] == atom
+    assert back["b"] == frozenset({atom, "p"})
+    assert render_fs(back) == text
+
+
+def test_plain_atom_renders_bare():
+    assert render_fs(parse_fs_text("[poss:'1sg', q:'a.b+c/d-e_f']")) == "[poss:1sg, q:a.b+c/d-e_f]"
+    assert parse_fs_text("[poss:1sg]")["poss"] == "1sg"
+
+
 @settings(max_examples=200)
 @given(feat_structs)
 def test_parse_render_round_trip(fs):
@@ -259,13 +286,6 @@ def test_unify_negation():
 
 def test_unify_atom_conflict():
     assert unify(parse_fs_text("[a:x]"), parse_fs_text("[a:y]")) is FAILURE
-
-
-def test_unify_closed_structure_rejects_extension():
-    closed = FeatStruct([("a", "x")], open=False)
-    other = FeatStruct([("a", "x"), ("b", "y")])
-    assert unify(closed, other) is FAILURE
-    assert unify(other, closed) is FAILURE
 
 
 def test_unify_does_not_mutate_operands():
@@ -378,11 +398,11 @@ def test_copy_fs_shares_immutable_leaves():
 
 
 def test_copy_fs_cycle():
-    fs = FeatStruct([("a", "x")], open=False)
+    fs = FeatStruct([("a", "x")])
     fs["self"] = fs
     out = copy_fs(fs)
     assert out is not fs and out["self"] is out
-    assert out.open is False and out["a"] == "x"
+    assert type(out) is FeatStruct and list(out) == ["a", "self"] and out["a"] == "x"
 
 
 # -------------------------------------------------------------- subsumption
@@ -404,6 +424,14 @@ def test_subsumes_closed_world_absence():
     specific = parse_fs_text("[sem:[animate:+]]")
     # temporal missing from the specific structure: eliminated even though open
     assert not subsumes(general, specific)
+
+
+def test_subsumes_ignores_sharing_in_general():
+    # only path values are compared: the general side's co-indexing of x
+    # and y is not required of the specific side
+    general = parse_fs_text("[x:@1=[a:b], y:@1]")
+    specific = parse_fs_text("[x:[a:b], y:[a:b]]")
+    assert subsumes(general, specific)
 
 
 def test_subsumes_set_value():
