@@ -27,7 +27,6 @@ from .featstruct import (
     render_fs,
     subsumes,
     unify,
-    unify_values,
 )
 
 __version__ = "0.1.0"
@@ -53,6 +52,5 @@ __all__ = [
     "render_fs",
     "subsumes",
     "unify",
-    "unify_values",
     "__version__",
 ]

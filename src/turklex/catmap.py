@@ -38,10 +38,7 @@ class Cat5(NamedTuple):
         return ",".join(self)
 
     def as_fs(self) -> FeatStruct:
-        return FeatStruct(
-            [("maj", self.maj), ("min", self.min), ("sub", self.sub),
-             ("ssub", self.ssub), ("sssub", self.sssub)]
-        )
+        return FeatStruct(zip(self._fields, self))
 
     def matches(self, pattern: "Cat5") -> bool:
         """Slot-wise match where ``none`` in the pattern matches anything."""

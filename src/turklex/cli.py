@@ -300,29 +300,19 @@ def check(config: Config):
     """Validate every data file and their cross-references."""
     problems = []
 
-    inventory = None
-    try:
-        inventory = load_inventory(config.categories)
-    except (OSError, ValueError) as exc:
-        problems.append(str(exc))
+    def attempt(load, *args):
+        """``load(*args)``, or None with the failure noted as a problem."""
+        try:
+            return load(*args)
+        except (OSError, ValueError) as exc:
+            problems.append(str(exc))
+            return None
 
-    rootmap = database = None
-    try:
-        AnalyzerTable.load(config.analyzer)
-    except (OSError, ValueError) as exc:
-        problems.append(str(exc))
-    try:
-        rootmap = RootMapTable.load(config.rootmap, inventory)
-    except (OSError, ValueError) as exc:
-        problems.append(str(exc))
-    try:
-        DerivMapTable.load(config.derivmap, inventory)
-    except (OSError, ValueError) as exc:
-        problems.append(str(exc))
-    try:
-        database = load_db(config.db)
-    except (OSError, ValueError) as exc:
-        problems.append(str(exc))
+    inventory = attempt(load_inventory, config.categories)
+    attempt(AnalyzerTable.load, config.analyzer)
+    rootmap = attempt(RootMapTable.load, config.rootmap, inventory)
+    attempt(DerivMapTable.load, config.derivmap, inventory)
+    database = attempt(load_db, config.db)
 
     if database is not None:
         if not database.entries:

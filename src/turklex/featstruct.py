@@ -9,22 +9,27 @@ Values stored inside a :class:`FeatStruct` are one of:
   (``at-(horse)``, ``f_lI(akIl-(intelligence))``, ``none(at-(horse))``)
 * :class:`FeatStruct` — a nested structure: a ``dict`` from feature names
   to values, whose ``get`` answers :data:`ABSENT` for a missing name
-* :class:`Seq` — an ordered sequence ``<...>`` (subcategorization lists)
+* :class:`Seq` — an ordered sequence ``<...>`` (subcategorization lists),
+  a ``list``
 * :class:`FSSet` — an unordered set of structures ``{[...], [...]}``
-  (disjunctive constraint sets)
+  (disjunctive constraint sets), a ``list`` whose order does not count
 
-Every structure is open: unification may add features to it.  The text
-syntax's trailing ``|_`` marker is accepted and changes nothing.
+These three are the nodes; everything else is a leaf.  On every node
+``==`` is :func:`fs_equal`: a node equals only a node of its own type with
+equal contents and the same sharing.  Every structure is open: unification
+may add features to it.  The text syntax's trailing ``|_`` marker is
+accepted and changes nothing.
 
 Co-indexing is physical object sharing: the text syntax ``@n=value`` /
 ``@n`` resolves to one shared object at parse time, and the renderer
 re-derives tags from sharing, so there is no tag node type at runtime.
-Unification copies both operands with :func:`copy_fs` under one memo
-(preserving sharing topology inside and across them) and merges
-destructively into the copy, which is what keeps co-indexed substructures
-co-indexed in the result.  Only the mutable nodes (:class:`FeatStruct`,
-:class:`Seq`, :class:`FSSet`) are copied; atoms, atom sets, negations and
-concepts are never mutated after parsing, so copies share them.
+:func:`unify` takes any two values.  It copies both with :func:`copy_fs`
+under one memo (preserving sharing topology inside and across them) and
+merges destructively into the copy, which is what keeps co-indexed
+substructures co-indexed in the result.  Only the nodes are copied; atoms,
+atom sets, negations and concepts are never mutated, so copies share them.
+A negation or concept that could not be written back as text is rejected
+when it is made.
 
 Unification failure is the module-level singleton :data:`FAILURE`, never
 an exception.  Missing-path lookups return :data:`ABSENT`.
@@ -62,11 +67,14 @@ ABSENT = _Sentinel("<absent>")  # a path lookup's result where no value is
 
 
 class Neg:
-    """Negated atom: unifies with any atom except its own."""
+    """Negated atom: unifies with any atom except its own, which must be
+    plain (``[A-Za-z0-9_.+/-]+``) so that ``!atom`` parses back."""
 
     __slots__ = ("atom",)
 
     def __init__(self, atom: str):
+        if not _ATOM_RE.fullmatch(atom):
+            raise ValueError(f"negated atom {atom!r} is not plain")
         self.atom = atom
 
     def __eq__(self, other):
@@ -86,11 +94,16 @@ class Concept:
 
 
 class BaseConcept(Concept):
-    """Root concept ``root-(gloss)``."""
+    """Root concept ``root-(gloss)``: ``root-`` must be plain, and the gloss
+    non-empty, unpadded and free of ``)``, so that the text parses back."""
 
     __slots__ = ("root", "gloss")
 
     def __init__(self, root: str, gloss: str):
+        if not _ATOM_RE.fullmatch(root + "-") or (
+            not gloss or gloss != gloss.strip() or ")" in gloss
+        ):
+            raise ValueError(f"concept {root!r}-({gloss!r}) cannot be written")
         self.root = root
         self.gloss = gloss
 
@@ -136,64 +149,28 @@ class DerivedConcept(Concept):
         return f"{head}({self.inner!r})"
 
 
-class Seq:
-    """Ordered sequence of values, written ``<a, b, ...>``."""
+class _Node:
+    """What the three node types share: ``==`` is :func:`fs_equal`, so a
+    node equals only a node of its own type, and ``repr`` renders."""
 
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = list(items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+    __slots__ = ()
 
     def __eq__(self, other):
-        return isinstance(other, Seq) and self.items == other.items
+        return fs_equal(self, other)
+
+    def __ne__(self, other):
+        return not fs_equal(self, other)
 
     def __repr__(self):
-        return "<" + ", ".join(repr(i) for i in self.items) + ">"
+        return render_fs(self)
 
 
-class FSSet:
-    """Unordered set of feature structures, written ``{[...], [...]}``."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = list(items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __eq__(self, other):
-        if not isinstance(other, FSSet) or len(self.items) != len(other.items):
-            return False
-        remaining = list(other.items)
-        for mine in self.items:
-            for i, theirs in enumerate(remaining):
-                if mine == theirs:
-                    del remaining[i]
-                    break
-            else:
-                return False
-        return True
-
-    def __repr__(self):
-        return "{" + ", ".join(repr(i) for i in self.items) + "}"
-
-
-class FeatStruct(dict):
+class FeatStruct(_Node, dict):
     """Ordered mapping from feature names to values.
 
     A ``dict`` except that :meth:`get` answers :data:`ABSENT` for a missing
-    name, a structure equals only another structure, and the constructor
-    rejects a repeated name.
+    name, ``==`` is :func:`fs_equal`, and the constructor rejects a repeated
+    name.
     """
 
     __slots__ = ()
@@ -208,19 +185,21 @@ class FeatStruct(dict):
     def get(self, name, default=ABSENT):
         return dict.get(self, name, default)
 
-    def __eq__(self, other):
-        """Content equality, feature-order-insensitive, sharing-blind.
 
-        Use :func:`fs_equal` when sharing topology matters.
-        """
-        return isinstance(other, FeatStruct) and dict.__eq__(self, other)
+class Seq(_Node, list):
+    """Ordered sequence of values, written ``<a, b, ...>``."""
 
-    def __ne__(self, other):
-        # dict's own != would find a structure equal to a plain dict
-        return not self == other
+    __slots__ = ()
 
-    def __repr__(self):
-        return render_fs(self)
+
+class FSSet(_Node, list):
+    """Unordered set of feature structures, written ``{[...], [...]}``: a
+    ``list`` whose order :func:`fs_equal` ignores."""
+
+    __slots__ = ()
+
+
+_NODE_TYPES = frozenset((FeatStruct, Seq, FSSet))
 
 
 class FSSyntaxError(ValueError):
@@ -348,7 +327,7 @@ class _Parser:
         if c == "[":
             return self.parse_fs()
         if c == "<":
-            return self.parse_seq()
+            return Seq(self.parse_list(">"))
         if c == "{":
             return self.parse_braces()
         return self.parse_atom_or_concept()
@@ -374,26 +353,21 @@ class _Parser:
             self.error(f"unresolved tag @{num}")
         return self.tags[num]
 
-    def parse_seq(self):
-        self.expect("<")
+    def parse_list(self, close):
+        """The comma-separated values after an opening ``<`` or ``{``, up to
+        ``close``."""
+        self.pos += 1
         items = [self.parse_value()]
         self.ws()
         while self.peek() == ",":
             self.pos += 1
             items.append(self.parse_value())
             self.ws()
-        self.expect(">")
-        return Seq(items)
+        self.expect(close)
+        return items
 
     def parse_braces(self):
-        self.expect("{")
-        items = [self.parse_value()]
-        self.ws()
-        while self.peek() == ",":
-            self.pos += 1
-            items.append(self.parse_value())
-            self.ws()
-        self.expect("}")
+        items = self.parse_list("}")
         if all(isinstance(i, str) for i in items):
             atoms = frozenset(items)
             if len(atoms) == 1:
@@ -448,13 +422,13 @@ def parse_fs_text(text: str) -> FeatStruct:
 def _walk_nodes(value, counts):
     """Count the references to each node in ``value``, by ``id``.  Every
     node walked stays reachable from the root, so no ``id`` is reused."""
-    if isinstance(value, (FeatStruct, Seq, FSSet)):
+    if type(value) in _NODE_TYPES:
         i = id(value)
         if i in counts:
             counts[i] += 1
             return
         counts[i] = 1
-        for v in value.values() if isinstance(value, FeatStruct) else value.items:
+        for v in value.values() if type(value) is FeatStruct else value:
             _walk_nodes(v, counts)
 
 
@@ -493,14 +467,13 @@ class _Renderer:
         tag, emitted = self.tag_for(value)
         if emitted:
             return tag
-        if isinstance(value, FeatStruct):
+        if type(value) is FeatStruct:
             body = "[" + ", ".join(
                 f"{k}:{self.compact_value(v)}" for k, v in value.items()
             ) + "]"
-        elif isinstance(value, Seq):
-            body = "<" + ", ".join(self.compact_value(v) for v in value.items) + ">"
-        else:  # FSSet
-            body = "{" + ", ".join(self.compact_value(v) for v in value.items) + "}"
+        else:
+            opening, closing = "<>" if type(value) is Seq else "{}"
+            body = opening + ", ".join(map(self.compact_value, value)) + closing
         return tag + body
 
     def indented_lines(self, fs) -> list[str]:
@@ -511,12 +484,12 @@ class _Renderer:
     def indent_parts(self, node, depth, lines):
         """A node's features (``name:``) or items (``-`` in a sequence, ``*``
         in a set), one head each, at ``depth``."""
-        if isinstance(node, FeatStruct):
+        if type(node) is FeatStruct:
             for name, value in node.items():
                 self.indent(f"{name}:", value, depth, lines)
         else:
-            bullet = "-" if isinstance(node, Seq) else "*"
-            for item in node.items:
+            bullet = "-" if type(node) is Seq else "*"
+            for item in node:
                 self.indent(bullet, item, depth, lines)
 
     def indent(self, head, value, depth, lines):
@@ -530,15 +503,15 @@ class _Renderer:
         tag, emitted = self.tag_for(value)
         if emitted:
             lines.append(f"{pad}{head} {tag}")
-        elif isinstance(value, FeatStruct) and not value and head.endswith(":"):
+        elif type(value) is FeatStruct and not value and head.endswith(":"):
             lines.append(f"{pad}{head} {tag}[]")
         else:
             lines.append(f"{pad}{head} {tag}" if tag else f"{pad}{head}")
             self.indent_parts(value, depth + 1, lines)
 
 
-def render_fs(fs: FeatStruct, style: str = "compact") -> str:
-    """Render a feature structure as text.
+def render_fs(fs, style: str = "compact") -> str:
+    """Render a feature structure, sequence or set as text.
 
     ``compact`` round-trips through :func:`parse_fs_text` (sharing included,
     via ``@n=``/``@n`` tags; an atom that is not plain is quoted, so an atom
@@ -553,8 +526,6 @@ def render_fs(fs: FeatStruct, style: str = "compact") -> str:
 
 
 # -------------------------------------------------------------- unification
-
-_NODE_TYPES = frozenset((FeatStruct, Seq, FSSet))
 
 
 def copy_fs(value, memo=None):
@@ -585,25 +556,17 @@ def _copy_node(node, memo):
         for name, v in node.items():
             new[name] = _copy_node(v, memo) if type(v) in _NODE_TYPES else v
     else:
-        new.items = [
-            _copy_node(v, memo) if type(v) in _NODE_TYPES else v
-            for v in node.items
-        ]
+        new.extend(_copy_node(v, memo) if type(v) in _NODE_TYPES else v for v in node)
     return new
 
 
-def unify(a: FeatStruct, b: FeatStruct):
-    """Unify two feature structures; returns a new structure or FAILURE.
+def unify(x, y):
+    """Unify two values (structures, atoms, sets, negations, ...); returns a
+    new value or FAILURE.
 
     Operands are never mutated.  Sharing topology inside (and across) the
     operands is preserved in the result.
     """
-    memo = {}
-    return _merge(copy_fs(a, memo), copy_fs(b, memo))
-
-
-def unify_values(x, y):
-    """Value-level unification (atoms, sets, negations, structures, ...)."""
     memo = {}
     return _merge_values(copy_fs(x, memo), copy_fs(y, memo))
 
@@ -659,15 +622,15 @@ def _merge_values(x, y):
     if isinstance(x, Concept):
         return x if (isinstance(y, Concept) and x == y) else FAILURE
     if isinstance(x, Seq):
-        if not isinstance(y, Seq) or len(x.items) != len(y.items):
+        if not isinstance(y, Seq) or len(x) != len(y):
             return FAILURE
         merged = []
-        for xv, yv in zip(x.items, y.items):
+        for xv, yv in zip(x, y):
             m = _merge_values(xv, yv)
             if m is FAILURE:
                 return FAILURE
             merged.append(m)
-        x.items = merged
+        x[:] = merged
         return x
     if isinstance(x, FSSet):
         # constraint sets are never deeply unified by the pipeline:
@@ -712,16 +675,14 @@ def _subsumes_value(gv, sv) -> bool:
                 return False
         return True
     if isinstance(gv, Seq):
-        if not isinstance(sv, Seq) or len(gv.items) != len(sv.items):
+        if not isinstance(sv, Seq) or len(gv) != len(sv):
             return False
-        return all(_subsumes_value(g, s) for g, s in zip(gv.items, sv.items))
+        return all(_subsumes_value(g, s) for g, s in zip(gv, sv))
     if isinstance(gv, FSSet):
         if not isinstance(sv, FSSet):
             return False
-        return all(
-            any(_subsumes_value(g, s) for s in sv.items) for g in gv.items
-        )
-    if isinstance(sv, (FeatStruct, Seq, FSSet)):
+        return all(any(_subsumes_value(g, s) for s in sv) for g in gv)
+    if type(sv) in _NODE_TYPES:
         return False
     # atomic against atomic: compatible iff they unify (pure for atoms)
     return _merge_values(gv, sv) is not FAILURE
@@ -766,28 +727,23 @@ def fs_equal(a, b) -> bool:
 
 
 def _equal(a, b, fwd, rev) -> bool:
-    node_types = (FeatStruct, Seq, FSSet)
-    if isinstance(a, node_types) or isinstance(b, node_types):
-        if type(a) is not type(b):
-            return False
-        ia, ib = id(a), id(b)
-        if ia in fwd or ib in rev:
-            return fwd.get(ia) == ib and rev.get(ib) == ia
-        fwd[ia] = ib
-        rev[ib] = ia
-        if isinstance(a, FeatStruct):
-            if a.keys() != b.keys():
-                return False
-            return all(_equal(v, b[k], fwd, rev) for k, v in a.items())
-        if isinstance(a, Seq):
-            if len(a.items) != len(b.items):
-                return False
-            return all(_equal(x, y, fwd, rev) for x, y in zip(a.items, b.items))
-        # FSSet: unordered — try to match members under a consistent bijection
-        if len(a.items) != len(b.items):
-            return False
-        return _match_sets(a.items, list(b.items), fwd, rev)
-    return a == b
+    if type(a) not in _NODE_TYPES and type(b) not in _NODE_TYPES:
+        return a == b
+    if type(a) is not type(b) or len(a) != len(b):
+        return False
+    ia, ib = id(a), id(b)
+    if ia in fwd or ib in rev:
+        return fwd.get(ia) == ib and rev.get(ib) == ia
+    fwd[ia] = ib
+    rev[ib] = ia
+    if type(a) is FeatStruct:
+        return a.keys() == b.keys() and all(
+            _equal(v, b[k], fwd, rev) for k, v in a.items()
+        )
+    if type(a) is Seq:
+        return all(_equal(x, y, fwd, rev) for x, y in zip(a, b))
+    # FSSet: unordered — try to match members under a consistent bijection
+    return _match_sets(a, list(b), fwd, rev)
 
 
 def _match_sets(xs, ys, fwd, rev) -> bool:

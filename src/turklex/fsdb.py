@@ -88,8 +88,6 @@ _COMMON_NOUN_FLAGS = (
     "material", "unit", "container", "countable", "spatial", "temporal", "animate",
 )
 
-_CAT_SLOTS = ("maj", "min", "sub", "ssub", "sssub")
-
 
 def _insert_feature(fs: FeatStruct, name: str, value, index: int) -> None:
     """Make ``name`` the feature at position ``index`` of ``fs``."""
@@ -146,15 +144,20 @@ def _require_block(fs: FeatStruct, name: str, what: str) -> FeatStruct:
     return block
 
 
-def validate_entry(entry: LexiconEntry) -> None:
-    """Check the structural invariants every entry must satisfy."""
-    what = f"entry {entry.cat.render()} {entry.root}"
-    cat_fs = _require_block(entry.fs, "cat", what)
-    for slot, expected in zip(_CAT_SLOTS, entry.cat):
+def _check_cat(fs: FeatStruct, cat: Cat5, what: str) -> None:
+    """The ``cat`` block of ``fs`` must spell out the clause's key ``cat``."""
+    cat_fs = _require_block(fs, "cat", what)
+    for slot, expected in zip(cat._fields, cat):
         if cat_fs.get(slot) != expected:
             raise InvariantError(
                 f"{what}: cat|{slot} is {cat_fs.get(slot)!r}, key says {expected!r}"
             )
+
+
+def validate_entry(entry: LexiconEntry) -> None:
+    """Check the structural invariants every entry must satisfy."""
+    what = f"entry {entry.cat.render()} {entry.root}"
+    _check_cat(entry.fs, entry.cat, what)
     morph = _require_block(entry.fs, "morph", what)
     if morph.get("stem") != entry.root:
         raise InvariantError(f"{what}: morph|stem {morph.get('stem')!r} differs from root")
@@ -170,13 +173,7 @@ def validate_entry(entry: LexiconEntry) -> None:
 
 
 def validate_template(template: TemplateEntry) -> None:
-    what = f"template {template.cat.render()}"
-    cat_fs = _require_block(template.fs, "cat", what)
-    for slot, expected in zip(_CAT_SLOTS, template.cat):
-        if cat_fs.get(slot) != expected:
-            raise InvariantError(
-                f"{what}: cat|{slot} is {cat_fs.get(slot)!r}, key says {expected!r}"
-            )
+    _check_cat(template.fs, template.cat, f"template {template.cat.render()}")
 
 
 # --------------------------------------------------------------------------

@@ -143,9 +143,6 @@ class MorphParse:
     def n_levels(self) -> int:
         return 1 + sum(1 for key, _ in self.pairs if key == "CONV")
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def parse_parse_string(text: str) -> MorphParse:
     """Parse a bracketed processor string into a :class:`MorphParse`.

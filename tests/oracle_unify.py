@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from turklex.featstruct import FAILURE, FeatStruct, Neg, unify, unify_values
+from turklex.featstruct import FAILURE, FeatStruct, Neg, unify
 
 UNIVERSE = ("a", "b", "c", "d", "e", "f")
 
@@ -145,12 +145,8 @@ def check_pair(a, b):
     """Run one oracle-vs-library comparison; returns an error string or None."""
     expected = oracle_unify(a, b)
     la, lb = to_library(a), to_library(b)
-    if isinstance(la, FeatStruct) and isinstance(lb, FeatStruct):
-        got = unify(la, lb)
-        got_rev = unify(lb, la)
-    else:
-        got = unify_values(la, lb)
-        got_rev = unify_values(lb, la)
+    got = unify(la, lb)
+    got_rev = unify(lb, la)
     if not library_matches(got, expected):
         return f"unify({a!r}, {b!r}): library {got!r} != oracle {expected!r}"
     # commutativity: same failure status and same denotation
@@ -163,10 +159,7 @@ def check_pair(a, b):
 
 def check_idempotent(a):
     la = to_library(a)
-    if isinstance(la, FeatStruct):
-        got = unify(la, la)
-    else:
-        got = unify_values(la, la)
+    got = unify(la, la)
     expected = oracle_unify(a, a)
     if not library_matches(got, expected):
         return f"unify({a!r}, {a!r}) not idempotent: got {got!r}"

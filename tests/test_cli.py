@@ -272,3 +272,16 @@ class TestCheck:
         result = runner.invoke(main, ["--rootmap", str(bad), "check"])
         assert result.exit_code == 1
         assert "duplicate" in result.output
+
+    def test_every_bad_file_is_listed_in_order(self, runner, tmp_path):
+        rootmap = tmp_path / "rootmap.tsv"
+        rootmap.write_text("noun\tnone\tat\n", encoding="utf-8")
+        db = tmp_path / "lexicon.fdb"
+        db.write_text("lexeme a,b := [x:y]\n", encoding="utf-8")
+        result = runner.invoke(main, ["--rootmap", str(rootmap), "--db", str(db), "check"])
+        assert result.exit_code == 1
+        problems = [line for line in result.output.splitlines() if line.startswith("problem:")]
+        assert len(problems) == 2
+        assert f"{rootmap}:1: expected 4 tab-separated fields" in problems[0]
+        assert f"{db}:1: expected 'entry' or 'template'" in problems[1]
+        assert result.output.splitlines()[-1] == "2 problem(s) found"

@@ -283,14 +283,14 @@ class TestRetrieve:
             if isinstance(node, (FeatStruct, Seq, FSSet)) and id(node) not in seen:
                 seen.add(id(node))
                 nodes.append(node)
-                stack.extend(node.values() if isinstance(node, FeatStruct) else node.items)
+                stack.extend(node.values() if isinstance(node, FeatStruct) else node)
         for node in nodes:
             if isinstance(node, FeatStruct):
                 for name in list(node.keys()):
                     node[name] = "mutated"
                 node["extra"] = "mutated"
             else:
-                node.items = ["mutated"]
+                node[:] = ["mutated"]
 
         for query, texts in zip(queries, expected):
             again = engine.query(query)

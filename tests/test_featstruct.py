@@ -21,7 +21,6 @@ from turklex.featstruct import (
     render_fs,
     subsumes,
     unify,
-    unify_values,
 )
 
 from . import oracle_unify
@@ -35,7 +34,7 @@ def node_ids(value, seen=None):
     seen = set() if seen is None else seen
     if isinstance(value, NODE_TYPES) and id(value) not in seen:
         seen.add(id(value))
-        children = value.values() if isinstance(value, FeatStruct) else value.items
+        children = value.values() if isinstance(value, FeatStruct) else value
         for child in children:
             node_ids(child, seen)
     return seen
@@ -52,6 +51,37 @@ def test_featstruct_is_a_dict_that_differs_in_four_ways():
     assert repr(fs) == "[a:x]"
     with pytest.raises(ValueError, match="duplicate feature name 'a'"):
         FeatStruct([("a", "x"), ("a", "y")])
+
+
+def test_node_equality_is_fs_equal():
+    shared = parse_fs_text("[x:@1=[a:b], y:@1]")
+    unshared = parse_fs_text("[x:[a:b], y:[a:b]]")
+    assert shared != unshared and not shared == unshared
+    assert shared == parse_fs_text("[y:@1=[a:b], x:@1]")
+    for node in (Seq(["a", "b"]), FSSet([FeatStruct(), FeatStruct({"a": "x"})])):
+        assert node != list(node) and list(node) != node
+        assert not node == list(node) and not list(node) == node
+        assert node == type(node)(node)
+    assert Seq(["a", "b"]) != Seq(["b", "a"])
+    assert FSSet([FeatStruct(), FeatStruct({"a": "x"})]) == FSSet(
+        [FeatStruct({"a": "x"}), FeatStruct()]
+    )
+    assert Seq([FeatStruct()]) != FSSet([FeatStruct()])
+    assert repr(Seq(["a", FeatStruct({"b": "c"})])) == "<a, [b:c]>"
+
+
+def test_leaves_that_cannot_be_written_are_rejected():
+    with pytest.raises(ValueError, match="not plain"):
+        Neg("x y")
+    for root, gloss in (("at", "a) b"), ("a t", "horse"), ("at", ""), ("at", " horse")):
+        with pytest.raises(ValueError, match="cannot be written"):
+            BaseConcept(root, gloss)
+    fs = parse_fs_text("[a:-(x), b:!x]")
+    assert fs["a"] == BaseConcept("", "x")
+    assert render_fs(fs) == "[a:-(x), b:!x]"
+    # an atom holding ' is a plain str, so only its rendering shows the limit
+    with pytest.raises(FSSyntaxError):
+        parse_fs_text(render_fs(FeatStruct({"a": "it's"})))
 
 
 # ---------------------------------------------------------------- parsing
@@ -110,10 +140,10 @@ def test_parse_concept_gloss_with_spaces():
 def test_parse_sequence_and_fs_set():
     fs = parse_fs_text("[subcat:<[syn-role:subject], [syn-role:dir-obj]>, c:{[a:x], [a:y]}]")
     sub = fs["subcat"]
-    assert isinstance(sub, Seq) and len(sub.items) == 2
-    assert sub.items[0]["syn-role"] == "subject"
+    assert isinstance(sub, Seq) and len(sub) == 2
+    assert sub[0]["syn-role"] == "subject"
     cons = fs["c"]
-    assert isinstance(cons, FSSet) and len(cons.items) == 2
+    assert isinstance(cons, FSSet) and len(cons) == 2
 
 
 def test_parse_tags_share_objects():
@@ -273,10 +303,10 @@ def test_unify_atom_in_set():
 
 
 def test_unify_set_intersection():
-    out = unify_values(frozenset({"a", "b", "c"}), frozenset({"b", "c", "d"}))
+    out = unify(frozenset({"a", "b", "c"}), frozenset({"b", "c", "d"}))
     assert out == frozenset({"b", "c"})
-    assert unify_values(frozenset({"a", "b"}), frozenset({"c", "d"})) is FAILURE
-    assert unify_values(frozenset({"a", "b"}), frozenset({"b", "c"})) == "b"
+    assert unify(frozenset({"a", "b"}), frozenset({"c", "d"})) is FAILURE
+    assert unify(frozenset({"a", "b"}), frozenset({"b", "c"})) == "b"
 
 
 def test_unify_negation():
@@ -306,7 +336,7 @@ def test_unify_preserves_sharing_across_operands():
     shared = parse_fs_text("[x:{p,q}]")
     out = unify(FeatStruct([("a", shared)]), FeatStruct([("b", shared), ("c", "z")]))
     assert out["a"] is out["b"] and out["a"] is not shared
-    merged = unify_values(FeatStruct([("a", shared)]), FeatStruct([("b", shared)]))
+    merged = unify(FeatStruct([("a", shared)]), FeatStruct([("b", shared)]))
     assert merged["a"] is merged["b"]
 
 
@@ -392,8 +422,8 @@ def test_copy_fs_shares_immutable_leaves():
     out = copy_fs(fs)
     for name in ("a", "b", "c"):
         assert out[name] is fs[name]
-    assert out["d"] is not fs["d"] and out["d"].items[0] is not fs["d"].items[0]
-    assert out["f"] is not fs["f"] and out["f"].items[0] is not fs["f"].items[0]
+    assert out["d"] is not fs["d"] and out["d"][0] is not fs["d"][0]
+    assert out["f"] is not fs["f"] and out["f"][0] is not fs["f"][0]
     assert copy_fs("atom") == "atom"
 
 
@@ -403,6 +433,15 @@ def test_copy_fs_cycle():
     out = copy_fs(fs)
     assert out is not fs and out["self"] is out
     assert type(out) is FeatStruct and list(out) == ["a", "self"] and out["a"] == "x"
+
+
+def test_copy_fs_cycle_through_a_seq():
+    seq = Seq(["x"])
+    fs = FeatStruct({"s": seq})
+    seq.append(fs)
+    out = copy_fs(fs)
+    assert out is not fs and out["s"] is not seq
+    assert type(out["s"]) is Seq and out["s"][0] == "x" and out["s"][1] is out
 
 
 # -------------------------------------------------------------- subsumption

@@ -120,6 +120,20 @@ class TestLoad:
         with pytest.raises(DatabaseFormatError, match="duplicate template"):
             load(path)
 
+    def test_template_cat_mismatch_reported(self, tmp_path):
+        path = tmp_path / "bad.fdb"
+        path.write_text(
+            "template verb,attributive,none,none,none := "
+            "[cat:[maj:verb, min:predicative, sub:none, ssub:none, sssub:none]]\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            DatabaseFormatError,
+            match=r":1: template verb,attributive,none,none,none: "
+            r"cat\|min is 'predicative', key says 'attributive'$",
+        ):
+            load(path)
+
     def test_entry_invariant_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.fdb"
         path.write_text(
@@ -291,7 +305,11 @@ class TestAddDelete:
     def test_add_rejects_cat_mismatch(self, db):
         entry = make_entry()
         entry.fs["cat"]["min"] = "pronoun"
-        with pytest.raises(InvariantError, match="cat"):
+        with pytest.raises(
+            InvariantError,
+            match=r"^entry nominal,noun,common,none,none yol: "
+            r"cat\|min is 'pronoun', key says 'noun'$",
+        ):
             add_entry(db, entry)
 
     def test_delete_sense(self, db):
