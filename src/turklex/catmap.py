@@ -75,15 +75,18 @@ class CategoryMap:
         """Load ``key<TAB>...<TAB>category`` rows, rejecting duplicate keys
         and, given an inventory, categories outside it."""
         rows: Dict[tuple, Cat5] = {}
+        cats: Dict[str, Cat5] = {}  # one Cat5 per distinct category text
         for lineno, fields in read_rows(path, cls.key_fields + 1):
             *key_fields, cat_text = fields
             key = tuple(map(sys.intern, key_fields))
             if key in rows:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-            try:
-                cat = Cat5.from_text(cat_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            cat = cats.get(cat_text)
+            if cat is None:
+                try:
+                    cat = cats[cat_text] = Cat5.from_text(cat_text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if inventory is not None and cat not in inventory:
                 raise ValueError(
                     f"{path}:{lineno}: category {cat.render()} is not in the inventory"

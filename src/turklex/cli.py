@@ -245,7 +245,10 @@ def db_add(config: Config, category, root, fs):
         add_entry(database, entry)
     except InvariantError as exc:
         _fail(str(exc), 2)
-    save_db(database, config.db)
+    try:
+        save_db(database, config.db)
+    except InvariantError as exc:
+        _fail(str(exc), 1)
     click.echo(f"added sense {len(database.entries[(cat, root)])} of {cat.render()} {root}")
 
 

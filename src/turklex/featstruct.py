@@ -125,12 +125,16 @@ class DerivedConcept(Concept):
     """Concept built by a derivational suffix: ``f_suffix(inner)``.
 
     A suffix of ``"none"`` renders as ``none(inner)`` (conversion without
-    an overt suffix).
+    an overt suffix).  ``f_suffix`` must be a plain atom that does not end
+    in ``-`` (which would read back as a root concept), so that the text
+    parses back.
     """
 
     __slots__ = ("suffix", "inner")
 
     def __init__(self, suffix: str, inner: Concept):
+        if not _ATOM_RE.fullmatch("f_" + suffix) or suffix.endswith("-"):
+            raise ValueError(f"derived concept suffix {suffix!r} cannot be written")
         self.suffix = suffix
         self.inner = inner
 
@@ -223,11 +227,19 @@ _PAIR_RE = re.compile(
 )
 
 
+# A set whose value depends on its text alone: no tag, quoted atom or
+# concept inside it, and braces nested at most one deep.  Atoms hold no
+# brace, so where such a set parses, it ends at this match's closing brace.
+_PLAIN_SET_RE = re.compile(r"\{[^{}@'(]*(?:\{[^{}@'(]*\}[^{}@'(]*)*\}")
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, sets=None):
         self.text = text
         self.pos = 0
         self.tags: dict[int, object] = {}
+        self.sets = sets  # plain set text -> its value, shared across texts
+        self.placed: set[int] = set()  # ids of the shared values this text holds
 
     def error(self, message):
         raise FSSyntaxError(message, position=self.pos)
@@ -329,7 +341,7 @@ class _Parser:
         if c == "<":
             return Seq(self.parse_list(">"))
         if c == "{":
-            return self.parse_braces()
+            return self.parse_braces() if self.sets is None else self.shared_braces()
         return self.parse_atom_or_concept()
 
     def parse_tag(self):
@@ -365,6 +377,32 @@ class _Parser:
             self.ws()
         self.expect(close)
         return items
+
+    def shared_braces(self):
+        """The set at ``{``: the value in ``self.sets`` when its plain text
+        was parsed before, else a fresh parse, stored if the text is plain.
+
+        A shared value goes into one text at most once, since a node reached
+        twice reads as co-indexing, so a repeat within the text is parsed
+        afresh.  A set that is being stored holds no shared value, so the
+        ``placed`` check sees every shared node of the text.
+        """
+        m = _PLAIN_SET_RE.match(self.text, self.pos)
+        if m is None:
+            return self.parse_braces()
+        key = m.group()
+        shared = self.sets.get(key)
+        if shared is not None and id(shared) not in self.placed:
+            self.pos = m.end()
+            self.placed.add(id(shared))
+            return shared
+        sets, self.sets = self.sets, None
+        value = self.parse_braces()
+        self.sets = sets
+        if shared is None:
+            sets[key] = value
+            self.placed.add(id(value))
+        return value
 
     def parse_braces(self):
         items = self.parse_list("}")
@@ -407,14 +445,21 @@ class _Parser:
         self.error(f"unexpected '(' after {cand!r}")
 
 
-def parse_fs_text(text: str) -> FeatStruct:
+def parse_fs_text(text: str, sets=None) -> FeatStruct:
     """Parse the compact text syntax into a feature structure.
 
     Returns a :class:`FeatStruct`, since the text must open with ``[``, or
     raises :class:`FSSyntaxError` (with position) on malformed input,
     duplicate feature names, and unresolved tags.
+
+    ``sets``, a dict kept across calls, shares sets between the texts
+    parsed with it: each distinct text of a set with no tag, quoted atom or
+    concept inside it is parsed once, and every later text holding it gets
+    the same value (at most once per text).  The results then share nodes,
+    so they must never be mutated; :mod:`turklex.fsdb` passes one dict per
+    load.
     """
-    return _Parser(text).parse_top()
+    return _Parser(text, sets).parse_top()
 
 
 # --------------------------------------------------------------- rendering

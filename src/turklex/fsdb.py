@@ -19,6 +19,22 @@ callers only read (the engine's ``retrieve`` copies each sense).  So
 saves that clause, and keeps it on the clause (``line``); a later save
 renders only the clauses added since and joins the stored lines.  ``load``
 renders nothing.
+
+The same contract lets one ``load`` share values between clauses.  It
+parses each distinct text of a set with no tag, quoted atom or concept
+inside it once (see :func:`~turklex.featstruct.parse_fs_text`), so every
+clause that repeats a complement constraint set such as
+``{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}`` holds the
+same object; a clause holds a shared set once at most, since a node reached
+twice within a clause reads as co-indexing.  It also makes one
+:class:`~turklex.catmap.Cat5` per distinct category text.  Nothing mutates a
+shared set: the engine unifies copies, ``lookup_template`` and ``retrieve``
+copy, and ``fill_entry_defaults`` changes only the clause's own root,
+``syn`` and ``sem`` structures.
+
+A clause whose canonical line would hold a line break cannot be saved in
+this line-based format: ``clause_line`` raises :class:`InvariantError`, so
+``save`` fails before it writes.
 """
 
 from __future__ import annotations
@@ -262,6 +278,8 @@ def load(path) -> Database:
 
 def _load(path) -> Database:
     db = Database()
+    cats: Dict[str, Cat5] = {}  # one Cat5 per distinct category text
+    sets: dict = {}  # one value per distinct plain set text
 
     def fail(message: str) -> DatabaseFormatError:
         return DatabaseFormatError(f"{path}:{lineno}: {message}")
@@ -287,12 +305,14 @@ def _load(path) -> Database:
             else:
                 raise fail(f"expected 'entry' or 'template', got {line.split()[0]!r}")
 
+            cat = cats.get(cat_text)
+            if cat is None:
+                try:
+                    cat = cats[cat_text] = Cat5.from_text(cat_text)
+                except ValueError as exc:
+                    raise fail(str(exc)) from exc
             try:
-                cat = Cat5.from_text(cat_text)
-            except ValueError as exc:
-                raise fail(str(exc)) from exc
-            try:
-                fs = parse_fs_text(fs_text)
+                fs = parse_fs_text(fs_text, sets)
             except FSSyntaxError as exc:
                 raise fail(f"bad feature structure: {exc}") from exc
 
@@ -317,13 +337,20 @@ def _load(path) -> Database:
 
 def clause_line(clause) -> str:
     """The canonical line of an entry or template clause, rendered on the
-    first call and stored on the clause."""
+    first call and stored on the clause.
+
+    Raises :class:`InvariantError` if the line would hold a line break (a
+    quoted atom or a concept gloss can), which the file could not hold.
+    """
     if clause.line is None:
-        body = render_fs(clause.fs, style="compact")
         if isinstance(clause, TemplateEntry):
-            clause.line = f"template {clause.cat.render()} := {body}"
+            head = f"template {clause.cat.render()}"
         else:
-            clause.line = f"entry {clause.cat.render()} {clause.root} := {body}"
+            head = f"entry {clause.cat.render()} {clause.root}"
+        line = f"{head} := {render_fs(clause.fs, style='compact')}"
+        if "\n" in line or "\r" in line:
+            raise InvariantError(f"{head}: a clause holding a line break cannot be saved")
+        clause.line = line
     return clause.line
 
 

@@ -205,6 +205,20 @@ class TestDbAddDelete:
         sem = lookup(load(tmp_db), COMMON, "at")[1].fs["sem"]
         assert (sem["note"], sem["alias"], sem["mark"]) == ("race horse", "at-(horse)", "!x")
 
+    @pytest.mark.parametrize(
+        "old, new", [("road", "road\nway"), ("countable:+", "note:'a\nb', countable:+")]
+    )
+    def test_add_with_a_line_break_exits_1_and_keeps_the_file(self, runner, tmp_db, old, new):
+        before = tmp_db.read_bytes()
+        result = runner.invoke(
+            main,
+            ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol",
+             NEW_ENTRY.replace(old, new)],
+        )
+        assert result.exit_code == 1
+        assert "a clause holding a line break cannot be saved" in result.output
+        assert tmp_db.read_bytes() == before
+
     def test_add_bad_fs_exits_2(self, runner, tmp_db):
         result = runner.invoke(
             main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol", "[oops"]

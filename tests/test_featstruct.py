@@ -76,9 +76,14 @@ def test_leaves_that_cannot_be_written_are_rejected():
     for root, gloss in (("at", "a) b"), ("a t", "horse"), ("at", ""), ("at", " horse")):
         with pytest.raises(ValueError, match="cannot be written"):
             BaseConcept(root, gloss)
-    fs = parse_fs_text("[a:-(x), b:!x]")
+    for suffix in ("a b", "a-", "a(", "x,y"):  # f_a- would read as a root concept
+        with pytest.raises(ValueError, match="cannot be written"):
+            DerivedConcept(suffix, BaseConcept("at", "horse"))
+    text = "[a:-(x), b:!x, c:f_(at-(horse)), d:none(at-(horse)), e:f_a.b(at-(horse))]"
+    fs = parse_fs_text(text)
     assert fs["a"] == BaseConcept("", "x")
-    assert render_fs(fs) == "[a:-(x), b:!x]"
+    assert [fs[k].suffix for k in "cde"] == ["", "none", "a.b"]
+    assert render_fs(fs) == text
     # an atom holding ' is a plain str, so only its rendering shows the limit
     with pytest.raises(FSSyntaxError):
         parse_fs_text(render_fs(FeatStruct({"a": "it's"})))
@@ -182,9 +187,7 @@ def test_syntax_error_reports_position():
 # position it reports.  Inputs that the one-match ``name:atom`` step could
 # read as a pair (duplicates, separators after an atom) must still fail as
 # the step-by-step reading says.
-@pytest.mark.parametrize(
-    "text, message, position",
-    [
+SYNTAX_ERRORS = [
         ("a", "expected '[' to open a feature structure", 0),
         ("[:a]", "expected feature name", 1),
         ("[a:b,]", "expected feature name", 5),
@@ -213,13 +216,31 @@ def test_syntax_error_reports_position():
         ("[a:<b c>]", "expected '>'", 6),
         ("[a:{b, [c:d]}]", "braces must hold only atoms or only structures", 13),
         ("[a:b] x", "trailing text after feature structure", 6),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("text, message, position", SYNTAX_ERRORS)
 def test_syntax_error_message_and_position(text, message, position):
     with pytest.raises(FSSyntaxError) as info:
         parse_fs_text(text)
     assert str(info.value) == f"{message} (at position {position})"
     assert info.value.position == position
+
+
+def test_syntax_errors_are_the_same_with_shared_sets():
+    sets = {}
+    parse_fs_text("[a:{b, c}, d:{[e:f]}]", sets)
+    for text, message, position in SYNTAX_ERRORS + [
+        ("[a:{b, c}, d:{[e:f]}, g:{b, c]", "expected '}'", 29),
+        ("[a:{b, c}, d:{[e:f]}, g:{[e:f]} x]", "expected ',', ']' or '|_'", 32),
+        ("[a:{[e:f]}, g:{[e:f], b}]", "braces must hold only atoms or only structures", 24),
+    ]:
+        with pytest.raises(FSSyntaxError) as info:
+            parse_fs_text(text, sets)
+        assert str(info.value) == f"{message} (at position {position})", text
+        with pytest.raises(FSSyntaxError) as fresh:
+            parse_fs_text(text)
+        assert str(fresh.value) == str(info.value)
 
 
 def test_parser_interns_names_and_atoms():
@@ -235,6 +256,66 @@ def test_parser_interns_names_and_atoms():
     name = next(iter(one.keys()))
     assert next(iter(two.keys())) is name
     assert next(iter(two["inner"].keys())) is name
+
+
+# ---------------------------------------------------- sets shared by text
+
+CONSTRAINTS = "{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}"
+
+
+def test_shared_sets_are_one_value_across_texts():
+    sets = {}
+    one = parse_fs_text(f"[c:{CONSTRAINTS}, m:{{acc, nom}}, s:{{acc}}]", sets)
+    two = parse_fs_text(f"[x:[c:{CONSTRAINTS}], m:{{acc, nom}}, s:{{acc}}]", sets)
+    assert two["x"]["c"] is one["c"]
+    assert two["m"] is one["m"] and one["m"] == frozenset({"acc", "nom"})
+    assert one["s"] == two["s"] == "acc"
+    assert sets[CONSTRAINTS] is one["c"]
+    assert one == parse_fs_text(render_fs(one)) and "@" not in render_fs(two)
+    # without a dict, or with another one, nothing is shared
+    assert parse_fs_text(f"[c:{CONSTRAINTS}]")["c"] is not one["c"]
+    assert parse_fs_text(f"[c:{CONSTRAINTS}]", {})["c"] is not one["c"]
+
+
+def test_shared_set_goes_into_a_text_once():
+    sets = {}
+    first = parse_fs_text(f"[c:{CONSTRAINTS}]", sets)["c"]
+    text = f"[a:{CONSTRAINTS}, b:{CONSTRAINTS}, c:[d:{CONSTRAINTS}]]"
+    fs = parse_fs_text(text, sets)
+    assert fs["a"] is first
+    assert fs["b"] is not first and fs["c"]["d"] is not first and fs["b"] is not fs["c"]["d"]
+    assert render_fs(fs) == text
+    text = f"[a:{CONSTRAINTS}, b:@1={CONSTRAINTS}, c:@1]"
+    tagged = parse_fs_text(text, sets)
+    assert tagged["a"] is first and tagged["b"] is tagged["c"] is not first
+    assert render_fs(tagged) == text
+    # a stored set holds no shared set, so a shared inner set cannot repeat
+    inner = "{[b:x]}"
+    outer = f"{{[a:{inner}]}}"
+    parse_fs_text(f"[o:{outer}, i:{inner}]", sets)
+    text = f"[o:{outer}, i:{inner}, j:{inner}]"
+    nested = parse_fs_text(text, sets)
+    assert nested["o"] is sets[outer] and nested["i"] is sets[inner]
+    assert nested["i"] is not nested["o"][0]["a"] and nested["j"] is not nested["i"]
+    assert render_fs(nested) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{[a:@1=[b:c], d:@1]}",
+        "{[a:'b c']}",
+        "{[a:x-(y)]}",
+        "{[a:f_lI(x-(y))]}",
+        "{[a:{[b:{c, d}]}]}",
+    ],
+)
+def test_sets_whose_value_is_not_their_text_alone_are_not_shared(text):
+    sets = {}
+    one = parse_fs_text(f"[s:{text}]", sets)
+    two = parse_fs_text(f"[s:{text}]", sets)
+    assert one["s"] is not two["s"] and one == two
+    assert text not in sets
 
 
 # --------------------------------------------------------------- rendering

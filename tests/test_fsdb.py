@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from turklex import fsdb
 from turklex._data import bundled_path
-from turklex.catmap import Cat5
+from turklex.catmap import Cat5, DerivMapTable, RootMapTable
+from turklex.engine import LexiconEngine
 from turklex.featstruct import (
     BaseConcept,
     FeatStruct,
     FSSet,
+    Seq,
     copy_fs,
     fs_equal,
     parse_fs_text,
@@ -160,9 +162,9 @@ class TestLoad:
         was_enabled = gc.isenabled()
         seen = []
 
-        def parse(text):
+        def parse(text, sets):
             seen.append(gc.isenabled())
-            return parse_fs_text(text)
+            return parse_fs_text(text, sets)
 
         monkeypatch.setattr(fsdb, "parse_fs_text", parse)
         try:
@@ -184,6 +186,143 @@ class TestLoad:
                 gc.enable()
             else:
                 gc.disable()
+
+
+CONSTRAINTS = "{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}"
+
+
+def template_lines(*bodies):
+    """Canonical template clauses, one per body, under categories a, b, ..."""
+    return [
+        f"template {maj},none,none,none,none := [cat:[maj:{maj}, min:none, sub:none, "
+        f"ssub:none, sssub:none], {body}]"
+        for maj, body in zip("abcdefgh", bodies)
+    ]
+
+
+def set_nodes(value, found):
+    """Every FSSet node reached from ``value``, by id."""
+    if isinstance(value, (FeatStruct, Seq, FSSet)) and id(value) not in found:
+        if isinstance(value, FSSet):
+            found[id(value)] = value
+        for inner in value.values() if isinstance(value, FeatStruct) else value:
+            set_nodes(inner, found)
+    return found
+
+
+@pytest.fixture()
+def unshared_load(monkeypatch):
+    """``load`` as it was before sets were shared: each clause parsed alone."""
+
+    def load_unshared(path):
+        with monkeypatch.context() as patch:
+            patch.setattr(fsdb, "parse_fs_text", lambda text, sets: parse_fs_text(text))
+            return load(path)
+
+    return load_unshared
+
+
+class TestSharedSets:
+    def test_bundled_sets_are_one_object_per_text(self, seed_db, unshared_load):
+        # the sets of each clause, counted once per clause
+        sets = [found for clause in seed_db.clauses for found in set_nodes(clause.fs, {}).values()]
+        assert (len(sets), len({render_fs(found) for found in sets})) == (28, 17)
+        assert len({id(found) for found in sets}) == 17
+        unshared = unshared_load(bundled_path("lexicon.fdb"))
+        assert len({i for clause in unshared.clauses for i in set_nodes(clause.fs, {})}) == 28
+        assert dumps(seed_db) == dumps(unshared)
+        for ours, theirs in zip(seed_db.clauses, unshared.clauses):
+            assert ours == theirs
+
+    def test_equal_sets_in_two_clauses_are_one_object(self, tmp_path):
+        lines = template_lines(f"x:{CONSTRAINTS}, m:{{acc, nom}}",
+                               f"y:[x:{CONSTRAINTS}], m:{{acc, nom}}")
+        text = "\n".join([fsdb._HEADER, *lines]) + "\n"
+        path = tmp_path / "db.fdb"
+        path.write_text(text, encoding="utf-8")
+        db = load(path)
+        one, two = (clause.fs for clause in db.clauses)
+        assert two["y"]["x"] is one["x"] and two["m"] is one["m"]
+        assert dumps(db) == text
+
+    def test_equal_sets_in_one_clause_stay_two_objects(self, tmp_path):
+        lines = template_lines(f"x:{CONSTRAINTS}",
+                               f"x:{CONSTRAINTS}, y:[z:{CONSTRAINTS}]")
+        path = tmp_path / "db.fdb"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        db = load(path)
+        one, two = (clause.fs for clause in db.clauses)
+        assert two["x"] is one["x"] and two["y"]["z"] is not one["x"]
+        assert [clause_line(clause) for clause in db.clauses] == lines
+        assert "@" not in dumps(db)
+
+    @pytest.mark.parametrize(
+        "text", ["{[a:@1=[b:c], d:@1]}", "{[a:'b c']}", "{[a:x-(y)]}"]
+    )
+    def test_set_holding_a_tag_quote_or_concept_is_not_shared(self, tmp_path, text):
+        lines = template_lines(f"x:{text}", f"x:{text}")
+        path = tmp_path / "db.fdb"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        db = load(path)
+        one, two = (clause.fs for clause in db.clauses)
+        assert one["x"] == two["x"] and one["x"] is not two["x"]
+        assert [clause_line(clause) for clause in db.clauses] == lines
+
+    def test_template_and_entry_with_one_set_derive_as_unshared(self, tmp_path, unshared_load):
+        # kaz's subject constraints, also under the infinitive template's syn
+        old = ("template nominal,sentential,act,infinitive,ma := [cat:[maj:nominal, "
+               "min:sentential, sub:act, ssub:infinitive, sssub:ma], syn:[subcat:none")
+        text = bundled_path("lexicon.fdb").read_text(encoding="utf-8")
+        assert old in text
+        path = tmp_path / "lexicon.fdb"
+        path.write_text(text.replace(old, f"{old}, also:{CONSTRAINTS}"), encoding="utf-8")
+
+        def derive(db):
+            engine = LexiconEngine.from_bundled_data()
+            engine.db = db
+            return [render_fs(fs) for fs in engine.query(parse_fs_text("[phon:kazma]"))]
+
+        db = load(path)
+        (kaz,) = lookup(db, PRED, "kaz")
+        template = db.templates[Cat5.from_text("nominal,sentential,act,infinitive,ma")]
+        assert template.fs["syn"]["also"] is kaz.fs["syn"]["subcat"][0]["constraints"]
+        shared = derive(db)
+        assert shared == derive(unshared_load(path))
+        # the derived result holds the set twice, untagged: as its own copies
+        derived = [text for text in shared if "also:" in text]
+        assert len(derived) == 1 and f"constraints:{CONSTRAINTS}" in derived[0]
+        assert f"also:{CONSTRAINTS}" in derived[0]
+
+
+class TestSharedCategories:
+    def test_one_cat5_per_distinct_category(self):
+        db = load(bundled_path("lexicon.fdb"))
+        cats = [clause.cat for clause in db.clauses]
+        assert len({id(cat) for cat in cats}) == len(set(cats)) < len(cats)
+        for table in (RootMapTable.load(bundled_path("rootmap.tsv")),
+                      DerivMapTable.load(bundled_path("derivmap.tsv"))):
+            cats = list(table.rows.values())
+            assert len({id(cat) for cat in cats}) == len(set(cats)) < len(cats)
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize(
+        "value", [BaseConcept("yol", "a\nb"), "a\nb", "a\rb", BaseConcept("yol", "a\r\nb")]
+    )
+    def test_clause_with_a_line_break_cannot_be_saved(self, db, tmp_path, value):
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        before = path.read_bytes()
+        entry = make_entry()
+        entry.fs["sem"]["note" if isinstance(value, str) else "concept"] = value
+        add_entry(db, entry)
+        with pytest.raises(InvariantError, match="^entry nominal,noun,common,none,none yol: "):
+            clause_line(entry)
+        assert entry.line is None
+        with pytest.raises(InvariantError, match="line break"):
+            save(db, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lexicon.fdb"]
 
 
 class TestDefaults:
