@@ -230,37 +230,33 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
             morph[name] = value
     result["morph"] = morph
 
-    syn = FeatStruct()
-    stem_syn = stem_fs.get("syn")
-    stem_subcat = stem_syn.get("subcat") if isinstance(stem_syn, FeatStruct) else ABSENT
-    template_syn = template.get("syn")
-    if stem_subcat is not ABSENT:
-        syn["subcat"] = stem_subcat  # object sharing keeps role co-indexing
-    elif isinstance(template_syn, FeatStruct) and "subcat" in template_syn:
-        syn["subcat"] = template_syn["subcat"]
-    if isinstance(template_syn, FeatStruct):
-        for name, value in template_syn.items():
-            if name not in syn:
-                syn[name] = value
-    result["syn"] = syn
-
-    sem = FeatStruct()
+    result["syn"] = _take_over(
+        FeatStruct(), "subcat", stem_fs.get("syn"), template.get("syn")
+    )
     stem_sem = stem_fs["sem"]
-    sem["concept"] = DerivedConcept(level.suffix, stem_sem["concept"])
-    stem_roles = stem_sem.get("roles")
-    template_sem = template.get("sem")
-    if stem_roles is not ABSENT:
-        sem["roles"] = stem_roles
-    elif isinstance(template_sem, FeatStruct) and "roles" in template_sem:
-        sem["roles"] = template_sem["roles"]
-    if isinstance(template_sem, FeatStruct):
-        for name, value in template_sem.items():
-            if name not in sem:
-                sem[name] = value
-    result["sem"] = sem
+    concept = DerivedConcept(level.suffix, stem_sem["concept"])
+    result["sem"] = _take_over(
+        FeatStruct([("concept", concept)]), "roles", stem_sem, template.get("sem")
+    )
 
     result["phon"] = "none"
     return result
+
+
+def _take_over(block: FeatStruct, name: str, stem_block, template_block) -> FeatStruct:
+    """Fill a derived ``syn`` or ``sem`` block: ``name`` from the stem's
+    block (the stem's object, so role co-indexing survives), or else from
+    the template's, then the template's other features in template order.
+    Either block may be ABSENT."""
+    if isinstance(stem_block, FeatStruct) and name in stem_block:
+        block[name] = stem_block[name]
+    elif isinstance(template_block, FeatStruct) and name in template_block:
+        block[name] = template_block[name]
+    if isinstance(template_block, FeatStruct):
+        for other, value in template_block.items():
+            if other not in block:
+                block[other] = value
+    return block
 
 
 def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace) -> list:

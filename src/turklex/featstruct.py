@@ -26,10 +26,11 @@ re-derives tags from sharing, so there is no tag node type at runtime.
 :func:`unify` takes any two values.  It copies both with :func:`copy_fs`
 under one memo (preserving sharing topology inside and across them) and
 merges destructively into the copy, which is what keeps co-indexed
-substructures co-indexed in the result.  Only the nodes are copied; atoms,
-atom sets, negations and concepts are never mutated, so copies share them.
-A negation or concept that could not be written back as text is rejected
-when it is made.
+substructures co-indexed in the result.  Only the nodes are copied: the
+leaves are immutable by type (``str``, ``frozenset``, and frozen
+dataclasses for :class:`Neg` and the concepts, whose fields cannot be
+assigned), so copies share them.  A negation or concept that could not be
+written back as text is rejected when it is made.
 
 Unification failure is the module-level singleton :data:`FAILURE`, never
 an exception.  Missing-path lookups return :data:`ABSENT`.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass
 
 
 class _Sentinel:
@@ -66,22 +68,16 @@ FAILURE = _Sentinel("<unification failure>")  # unify's result on a clash
 ABSENT = _Sentinel("<absent>")  # a path lookup's result where no value is
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Neg:
     """Negated atom: unifies with any atom except its own, which must be
     plain (``[A-Za-z0-9_.+/-]+``) so that ``!atom`` parses back."""
 
-    __slots__ = ("atom",)
+    atom: str
 
-    def __init__(self, atom: str):
-        if not _ATOM_RE.fullmatch(atom):
-            raise ValueError(f"negated atom {atom!r} is not plain")
-        self.atom = atom
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.atom == other.atom
-
-    def __hash__(self):
-        return hash(("neg", self.atom))
+    def __post_init__(self):
+        if not _ATOM_RE.fullmatch(self.atom):
+            raise ValueError(f"negated atom {self.atom!r} is not plain")
 
     def __repr__(self):
         return f"!{self.atom}"
@@ -93,60 +89,43 @@ class Concept:
     __slots__ = ()
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BaseConcept(Concept):
     """Root concept ``root-(gloss)``: ``root-`` must be plain, and the gloss
     non-empty, unpadded and free of ``)``, so that the text parses back."""
 
-    __slots__ = ("root", "gloss")
+    root: str
+    gloss: str
 
-    def __init__(self, root: str, gloss: str):
+    def __post_init__(self):
+        root, gloss = self.root, self.gloss
         if not _ATOM_RE.fullmatch(root + "-") or (
             not gloss or gloss != gloss.strip() or ")" in gloss
         ):
             raise ValueError(f"concept {root!r}-({gloss!r}) cannot be written")
-        self.root = root
-        self.gloss = gloss
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BaseConcept)
-            and self.root == other.root
-            and self.gloss == other.gloss
-        )
-
-    def __hash__(self):
-        return hash((self.root, self.gloss))
 
     def __repr__(self):
         return f"{self.root}-({self.gloss})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class DerivedConcept(Concept):
     """Concept built by a derivational suffix: ``f_suffix(inner)``.
 
     A suffix of ``"none"`` renders as ``none(inner)`` (conversion without
     an overt suffix).  ``f_suffix`` must be a plain atom that does not end
-    in ``-`` (which would read back as a root concept), so that the text
-    parses back.
+    in ``-`` (which would read back as a root concept), and ``inner`` must
+    be a :class:`Concept`, so that the text parses back.
     """
 
-    __slots__ = ("suffix", "inner")
+    suffix: str
+    inner: Concept
 
-    def __init__(self, suffix: str, inner: Concept):
-        if not _ATOM_RE.fullmatch("f_" + suffix) or suffix.endswith("-"):
-            raise ValueError(f"derived concept suffix {suffix!r} cannot be written")
-        self.suffix = suffix
-        self.inner = inner
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DerivedConcept)
-            and self.suffix == other.suffix
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((self.suffix, self.inner))
+    def __post_init__(self):
+        if not _ATOM_RE.fullmatch("f_" + self.suffix) or self.suffix.endswith("-"):
+            raise ValueError(f"derived concept suffix {self.suffix!r} cannot be written")
+        if not isinstance(self.inner, Concept):
+            raise ValueError("derived concept must wrap a concept")
 
     def __repr__(self):
         head = "none" if self.suffix == "none" else f"f_{self.suffix}"
@@ -628,44 +607,16 @@ def _merge(a: FeatStruct, b: FeatStruct):
     return a
 
 
+_ATOMIC = (str, frozenset, Neg)
+
+
 def _merge_values(x, y):
-    if isinstance(x, FeatStruct) and isinstance(y, FeatStruct):
-        return _merge(x, y)
-    if isinstance(x, FeatStruct) or isinstance(y, FeatStruct):
-        return FAILURE
-    if isinstance(x, str):
-        if isinstance(y, str):
-            return x if x == y else FAILURE
-        if isinstance(y, frozenset):
-            return x if x in y else FAILURE
-        if isinstance(y, Neg):
-            return x if x != y.atom else FAILURE
-        return FAILURE
-    if isinstance(x, frozenset):
-        if isinstance(y, str):
-            return y if y in x else FAILURE
-        if isinstance(y, frozenset):
-            meet = x & y
-            if not meet:
-                return FAILURE
-            if len(meet) == 1:
-                return next(iter(meet))
-            return meet
-        if isinstance(y, Neg):
-            return _set_minus(x, y.atom)
-        return FAILURE
-    if isinstance(x, Neg):
-        if isinstance(y, str):
-            return y if y != x.atom else FAILURE
-        if isinstance(y, frozenset):
-            return _set_minus(y, x.atom)
-        if isinstance(y, Neg):
-            # "not a and not b" has no value form in an open atom universe;
-            # conservative: identical negations succeed, different ones fail
-            return x if x == y else FAILURE
-        return FAILURE
-    if isinstance(x, Concept):
-        return x if (isinstance(y, Concept) and x == y) else FAILURE
+    if isinstance(x, str) and isinstance(y, str):
+        return x if x == y else FAILURE
+    if isinstance(x, FeatStruct):
+        return _merge(x, y) if isinstance(y, FeatStruct) else FAILURE
+    if isinstance(x, _ATOMIC):
+        return _meet_atoms(x, y) if isinstance(y, _ATOMIC) else FAILURE
     if isinstance(x, Seq):
         if not isinstance(y, Seq) or len(x) != len(y):
             return FAILURE
@@ -677,27 +628,36 @@ def _merge_values(x, y):
             merged.append(m)
         x[:] = merged
         return x
-    if isinstance(x, FSSet):
-        # constraint sets are never deeply unified by the pipeline:
-        # equal-as-sets succeeds, anything else fails
-        if isinstance(y, FSSet) and fs_equal(x, y):
-            return x
-        return FAILURE
-    return FAILURE
+    # a concept meets only an equal concept, and a constraint set only an
+    # equal set: the pipeline never unifies constraint sets deeply
+    return x if x == y else FAILURE
 
 
-def _set_minus(atoms: frozenset, removed: str):
-    remaining = atoms - {removed}
-    if not remaining:
+def _meet_atoms(x, y):
+    """Meet of two atoms, atom sets or negations, each read as the set of
+    atoms it allows: the atoms both allow, or FAILURE if none; one atom is
+    a bare ``str``, more a ``frozenset``.
+
+    "not a and not b" has no value form in an open atom universe, so two
+    negations meet conservatively: identical ones succeed, different fail.
+    """
+    if isinstance(x, Neg):
+        if isinstance(y, Neg):
+            return x if x == y else FAILURE
+        x, y = y, x  # so only y can be a negation
+    allowed = {x} if isinstance(x, str) else x
+    if isinstance(y, Neg):
+        meet = allowed - {y.atom}
+    else:
+        meet = allowed & ({y} if isinstance(y, str) else y)
+    if not meet:
         return FAILURE
-    if len(remaining) == 1:
-        return next(iter(remaining))
-    return frozenset(remaining)
+    return next(iter(meet)) if len(meet) == 1 else frozenset(meet)
 
 
 # -------------------------------------------------------------- subsumption
 
-def subsumes(general: FeatStruct, specific: FeatStruct) -> bool:
+def subsumes(general, specific) -> bool:
     """Closed-world subsumption: every path of ``general`` must exist in
     ``specific`` and the values must unify.  A path absent from
     ``specific`` fails even though structures are open — this is the
@@ -706,31 +666,27 @@ def subsumes(general: FeatStruct, specific: FeatStruct) -> bool:
     Sharing in ``general`` is not checked, only its path values: so
     ``[x:@1=[a:b], y:@1]`` subsumes ``[x:[a:b], y:[a:b]]``.
     """
-    return _subsumes_value(general, specific)
-
-
-def _subsumes_value(gv, sv) -> bool:
-    if isinstance(gv, FeatStruct):
-        if not isinstance(sv, FeatStruct):
+    if isinstance(general, FeatStruct):
+        if not isinstance(specific, FeatStruct):
             return False
-        for name, inner in gv.items():
-            if name not in sv:
+        for name, inner in general.items():
+            if name not in specific:
                 return False
-            if not _subsumes_value(inner, sv[name]):
+            if not subsumes(inner, specific[name]):
                 return False
         return True
-    if isinstance(gv, Seq):
-        if not isinstance(sv, Seq) or len(gv) != len(sv):
+    if isinstance(general, Seq):
+        if not isinstance(specific, Seq) or len(general) != len(specific):
             return False
-        return all(_subsumes_value(g, s) for g, s in zip(gv, sv))
-    if isinstance(gv, FSSet):
-        if not isinstance(sv, FSSet):
+        return all(subsumes(g, s) for g, s in zip(general, specific))
+    if isinstance(general, FSSet):
+        if not isinstance(specific, FSSet):
             return False
-        return all(any(_subsumes_value(g, s) for s in sv) for g in gv)
-    if type(sv) in _NODE_TYPES:
+        return all(any(subsumes(g, s) for s in specific) for g in general)
+    if type(specific) in _NODE_TYPES:
         return False
     # atomic against atomic: compatible iff they unify (pure for atoms)
-    return _merge_values(gv, sv) is not FAILURE
+    return _merge_values(general, specific) is not FAILURE
 
 
 # ------------------------------------------------------------ paths, access

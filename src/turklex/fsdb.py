@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 from .catmap import Cat5
 from .featstruct import (
     ABSENT,
+    Concept,
     FeatStruct,
     FSSyntaxError,
     copy_fs,
@@ -180,8 +181,11 @@ def validate_entry(entry: LexiconEntry) -> None:
     if morph.get("form") != "lexical":
         raise InvariantError(f"{what}: morph|form must be 'lexical'")
     sem = _require_block(entry.fs, "sem", what)
-    if sem.get("concept") is ABSENT:
+    concept = sem.get("concept")
+    if concept is ABSENT:
         raise InvariantError(f"{what}: sem|concept is missing")
+    if not isinstance(concept, Concept):
+        raise InvariantError(f"{what}: sem|concept {concept!r} is not a concept")
     if (entry.cat.maj, entry.cat.min, entry.cat.sub) == ("nominal", "noun", "common"):
         for flag in _COMMON_NOUN_FLAGS:
             if sem.get(flag) is ABSENT:

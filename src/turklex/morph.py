@@ -226,6 +226,19 @@ def split_levels(parse: MorphParse) -> list:
     return levels
 
 
+def _repeated_key(parse: MorphParse) -> Optional[str]:
+    """The first key that appears twice within one level of ``parse``."""
+    seen: set = set()
+    for key, _ in parse.pairs:
+        if key == "CONV":
+            seen.clear()
+        elif key in seen:
+            return key
+        else:
+            seen.add(key)
+    return None
+
+
 @dataclass
 class AnalyzerTable:
     """Fixture table mapping surface forms to their processor parses."""
@@ -234,13 +247,20 @@ class AnalyzerTable:
 
     @classmethod
     def load(cls, path) -> "AnalyzerTable":
-        """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate."""
+        """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate.
+
+        A parse that names a key twice in one level is rejected: its level
+        would hold two values for one feature.
+        """
         table: dict = {}
         for lineno, (surface, parse_text) in read_rows(path, 2):
             try:
                 parse = parse_parse_string(parse_text)
             except ParseFormatError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            key = _repeated_key(parse)
+            if key is not None:
+                raise ValueError(f"{path}:{lineno}: {key} appears twice in one level")
             table.setdefault(sys.intern(surface), []).append(parse)
         return cls(table)
 

@@ -5,9 +5,10 @@ universe it denotes (atom -> singleton, atom set -> its members, negated
 atom -> complement) and models unification as set intersection, entirely
 separately from the library's representation-level rules.  Feature
 structures are plain dicts here.  A comparison then checks that the
-library's result *denotes* the same set the oracle computed, which keeps
-the two implementations independent: the oracle never constructs library
-values for intermediate results.
+library's result *denotes* the same set the oracle computed, and that it
+is canonical (no atom set of fewer than two members), which keeps the two
+implementations independent: the oracle never constructs library values
+for intermediate results.
 
 One combination is not denotationally representable in an open atom
 universe: unifying two *different* negated atoms (the true answer,
@@ -92,7 +93,9 @@ def denote_library(value):
 
 
 def library_matches(lib_result, oracle_result):
-    """True iff the library's unification result denotes the oracle's set."""
+    """True iff the library's unification result denotes the oracle's set
+    in canonical form: an atom set has at least two members, so a
+    one-atom result is a bare ``str``."""
     if lib_result is FAILURE:
         return oracle_result is FAIL
     if oracle_result is FAIL:
@@ -112,6 +115,8 @@ def library_matches(lib_result, oracle_result):
         return isinstance(lib_result, Neg) and denote_library(lib_result) == denote(
             oracle_result
         )
+    if isinstance(lib_result, frozenset) and len(lib_result) < 2:
+        return False
     return denote_library(lib_result) == set(oracle_result)
 
 

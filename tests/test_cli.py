@@ -287,6 +287,27 @@ class TestCheck:
         assert result.exit_code == 1
         assert "duplicate" in result.output
 
+    def test_entry_whose_concept_is_not_a_concept_fails(self, runner, tmp_db):
+        text = tmp_db.read_text(encoding="utf-8")
+        assert text.count("concept:kaz-(dig)") == 1
+        lines = text.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if "concept:kaz-(dig)" in line)
+        tmp_db.write_text(text.replace("concept:kaz-(dig)", "concept:dig"), encoding="utf-8")
+        result = runner.invoke(main, ["--db", str(tmp_db), "check"])
+        assert result.exit_code == 1
+        assert f"{tmp_db}:{lineno}: " in result.output
+        assert "sem|concept 'dig' is not a concept" in result.output
+
+    def test_parse_naming_a_key_twice_in_one_level_fails(self, runner, tmp_path):
+        analyzer = tmp_path / "analyzer.tsv"
+        shutil.copy(bundled_path("analyzer.tsv"), analyzer)
+        lineno = len(analyzer.read_text(encoding="utf-8").splitlines()) + 1
+        with analyzer.open("a", encoding="utf-8") as handle:
+            handle.write("atIm\t[[CAT=NOUN][ROOT=at][AGR=3SG][AGR=1SG][CASE=NOM]]\n")
+        result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
+        assert result.exit_code == 1
+        assert f"{analyzer}:{lineno}: AGR appears twice in one level" in result.output
+
     def test_every_bad_file_is_listed_in_order(self, runner, tmp_path):
         rootmap = tmp_path / "rootmap.tsv"
         rootmap.write_text("noun\tnone\tat\n", encoding="utf-8")

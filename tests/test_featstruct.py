@@ -1,5 +1,7 @@
 """Unit and property tests for the feature-structure algebra."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -79,6 +81,9 @@ def test_leaves_that_cannot_be_written_are_rejected():
     for suffix in ("a b", "a-", "a(", "x,y"):  # f_a- would read as a root concept
         with pytest.raises(ValueError, match="cannot be written"):
             DerivedConcept(suffix, BaseConcept("at", "horse"))
+    for inner in ("dig", Neg("dig"), frozenset({"a", "b"}), FeatStruct()):
+        with pytest.raises(ValueError, match="derived concept must wrap a concept"):
+            DerivedConcept("ma", inner)
     text = "[a:-(x), b:!x, c:f_(at-(horse)), d:none(at-(horse)), e:f_a.b(at-(horse))]"
     fs = parse_fs_text(text)
     assert fs["a"] == BaseConcept("", "x")
@@ -87,6 +92,28 @@ def test_leaves_that_cannot_be_written_are_rejected():
     # an atom holding ' is a plain str, so only its rendering shows the limit
     with pytest.raises(FSSyntaxError):
         parse_fs_text(render_fs(FeatStruct({"a": "it's"})))
+
+
+def test_leaves_are_immutable_and_equal_only_their_own_type():
+    horse = BaseConcept("at", "horse")
+    leaves = [Neg("at"), horse, DerivedConcept("lI", horse)]
+    for leaf in leaves:
+        values = [getattr(leaf, f.name) for f in dataclasses.fields(leaf)]
+        for f in dataclasses.fields(leaf):
+            with pytest.raises(AttributeError):
+                setattr(leaf, f.name, "x")
+        assert [getattr(leaf, f.name) for f in dataclasses.fields(leaf)] == values
+        twin = type(leaf)(*values)
+        assert twin == leaf and not twin != leaf and hash(twin) == hash(leaf)
+        others = ["at", frozenset({"at", "horse"}), FeatStruct()] + leaves
+        for other in others:
+            if other is not leaf:
+                assert leaf != other and other != leaf
+    assert Neg("a") != Neg("b") and horse != BaseConcept("at", "horses")
+    fresh = DerivedConcept("lI", BaseConcept("at", "horse"))
+    assert fresh == leaves[2] and hash(fresh) == hash(leaves[2])
+    assert DerivedConcept("lI", horse) != DerivedConcept("none", horse)
+    assert DerivedConcept("lI", horse) != DerivedConcept("lI", BaseConcept("it", "dog"))
 
 
 # ---------------------------------------------------------------- parsing

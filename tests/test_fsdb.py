@@ -16,6 +16,7 @@ from turklex.featstruct import (
     BaseConcept,
     FeatStruct,
     FSSet,
+    Neg,
     Seq,
     copy_fs,
     fs_equal,
@@ -145,6 +146,17 @@ class TestLoad:
             encoding="utf-8",
         )
         with pytest.raises(DatabaseFormatError, match="stem"):
+            load(path)
+
+    def test_entry_whose_concept_is_not_a_concept_reported_with_line(self, tmp_path):
+        path = tmp_path / "bad.fdb"
+        path.write_text(
+            "entry verb,predicative,none,none,none kaz := "
+            "[cat:[maj:verb, min:predicative, sub:none, ssub:none, sssub:none], "
+            "morph:[stem:kaz, form:lexical], sem:[concept:dig]]\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatabaseFormatError, match=r":1: .* sem\|concept 'dig' is not a concept"):
             load(path)
 
     def test_equal_atoms_and_names_are_one_object(self, seed_db):
@@ -439,6 +451,13 @@ class TestAddDelete:
         entry = make_entry()
         del entry.fs["sem"]["concept"]
         with pytest.raises(InvariantError, match="concept"):
+            add_entry(db, entry)
+
+    @pytest.mark.parametrize("value", ["road", Neg("road"), FeatStruct()])
+    def test_add_rejects_concept_that_is_not_a_concept(self, db, value):
+        entry = make_entry()
+        entry.fs["sem"]["concept"] = value
+        with pytest.raises(InvariantError, match="is not a concept"):
             add_entry(db, entry)
 
     def test_add_rejects_cat_mismatch(self, db):

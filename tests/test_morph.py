@@ -1,5 +1,7 @@
 """Tests for processor parse strings, value normalisation and level splitting."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,6 +204,21 @@ class TestAnalyzerTable:
         bad = tmp_path / "table.tsv"
         bad.write_text("atIm\t[[CAT=NOUN][AGR=3SG]]\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
+            AnalyzerTable.load(bad)
+
+    @pytest.mark.parametrize(
+        "parse, key",
+        [
+            ("[[CAT=NOUN][ROOT=at][AGR=3SG][AGR=1SG][CASE=NOM]]", "AGR"),
+            ("[[CAT=VERB][ROOT=kaz][CONV=NOUN=MA][CASE=NOM][AGR=3SG][CASE=LOC]]", "CASE"),
+            ("[[CAT=NOUN][ROOT=ekim][TYPE=TEMP1][TYPE=TEMP1]]", "TYPE"),
+        ],
+    )
+    def test_load_rejects_a_key_twice_in_one_level(self, tmp_path, parse, key):
+        bad = tmp_path / "table.tsv"
+        bad.write_text(f"at\t{ATIM_NOMINAL}\natIm\t{parse}\n", encoding="utf-8")
+        message = f"{bad}:2: {key} appears twice in one level"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AnalyzerTable.load(bad)
 
     def test_load_rejects_wrong_field_count(self, tmp_path):
