@@ -101,7 +101,7 @@ def _render_full(trace: QueryTrace, style: str) -> list:
     lines.append(f"Parsing: {trace.surface}")
     lines.append(f"Number of parses: {len(trace.parses)}")
     for i, parse in enumerate(trace.parses, 1):
-        lines.append(f"{i}: {parse.render()}")
+        lines.append(f"{i}: {parse.text}")
     lines.append("")
 
     lines.append("Transformation phase started...")

@@ -37,7 +37,7 @@ from .featstruct import (
     unify,
 )
 from .fsdb import Database, load as load_db, lookup, lookup_template
-from .morph import AnalyzerTable, split_levels
+from .morph import AnalyzerTable
 
 
 class QueryError(ValueError):
@@ -135,29 +135,19 @@ def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
     mapping; the lexical level is tried first, so a parse with an unknown
     root never reports its derivations.
     """
-    levels = split_levels(parse)
-    lexical = levels[0]
-    cat = rootmap.rows.get((lexical.proc_category, lexical.proc_type, lexical.root))
-    if cat is None:
-        trace.events.append(SkipRecord(lexical.proc_category, lexical.proc_type, lexical.root))
-        return None
-    trace.events.append(
-        MappingRecord(lexical.proc_category, lexical.proc_type, lexical.root, cat)
-    )
-    tlevels = [TransformedLevel(cat, FeatStruct(list(lexical.inflections)), None)]
-
-    for level in levels[1:]:
-        dcat = derivmap.rows.get((level.proc_category, level.suffix))
-        if dcat is None:
-            trace.events.append(SkipRecord(level.proc_category, level.proc_type, level.suffix))
+    tlevels = []
+    for depth, level in enumerate(parse.levels):
+        if depth:
+            cat = derivmap.rows.get((level.proc_category, level.name))
+        else:
+            cat = rootmap.rows.get((level.proc_category, level.proc_type, level.name))
+        if cat is None:
+            trace.events.append(SkipRecord(level.proc_category, level.proc_type, level.name))
             return None
-        trace.events.append(
-            MappingRecord(level.proc_category, level.proc_type, level.suffix, dcat)
-        )
-        tlevels.append(
-            TransformedLevel(dcat, FeatStruct(list(level.inflections)), level.suffix)
-        )
-    return TransformedParse(root=lexical.root, levels=tlevels)
+        trace.events.append(MappingRecord(level.proc_category, level.proc_type, level.name, cat))
+        suffix = level.name if depth else None
+        tlevels.append(TransformedLevel(cat, FeatStruct(level.inflections), suffix))
+    return TransformedParse(root=parse.levels[0].name, levels=tlevels)
 
 
 # --------------------------------------------------------------------------

@@ -174,6 +174,8 @@ def _check_cat(fs: FeatStruct, cat: Cat5, what: str) -> None:
 def validate_entry(entry: LexiconEntry) -> None:
     """Check the structural invariants every entry must satisfy."""
     what = f"entry {entry.cat.render()} {entry.root}"
+    if re.fullmatch(r"\S+", entry.root) is None:
+        raise InvariantError(f"{what}: root {entry.root!r} is not one word without whitespace")
     _check_cat(entry.fs, entry.cat, what)
     morph = _require_block(entry.fs, "morph", what)
     if morph.get("stem") != entry.root:

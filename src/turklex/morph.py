@@ -9,6 +9,10 @@ pairs unpacks into ``k + 1`` levels: one lexical level describing the root
 and one derived level per conversion, each carrying its own inflection
 pairs.  ``TYPE`` pairs qualify whichever level they appear in.
 
+A parse is read once, when its table loads, into an immutable
+:class:`MorphParse` of :class:`Level` tuples with every value already
+mapped; queries only read those levels.
+
 Running a real morphological analyzer is out of scope here;
 :meth:`AnalyzerTable.lookup` answers from a fixture table loaded from a
 tab-separated file, which is enough to drive the rest of the pipeline
@@ -20,15 +24,12 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from ._data import read_rows
 
 log = logging.getLogger(__name__)
-
-PairValue = Union[str, Tuple[str, str]]
-
 
 class ParseFormatError(ValueError):
     """Raised for a parse string that does not follow the bracket format."""
@@ -119,44 +120,46 @@ def normalize_root(root: str) -> str:
     return root
 
 
-@dataclass
-class MorphParse:
-    """One processor parse: an ordered list of key/value pairs.
+class Level(NamedTuple):
+    """One morphological level of a parse.
 
-    ``CONV`` pairs are stored as ``("CONV", (target_category, suffix))``;
-    every other pair is a plain ``(key, value)`` string tuple.
+    ``proc_category`` and ``proc_type`` are the processor's category atoms,
+    lowercased/mapped for table lookup.  ``name`` is the normalised root on
+    the lexical level and the mapped derivational suffix on a derived one;
+    ``inflections`` holds the level's mapped ``(key, value)`` pairs in order.
     """
 
-    pairs: list
+    proc_category: str
+    proc_type: str
+    name: str
+    inflections: tuple
 
-    def render(self) -> str:
-        parts = []
-        for key, value in self.pairs:
-            if key == "CONV":
-                target, suffix = value
-                parts.append(f"[CONV={target}={suffix}]")
-            else:
-                parts.append(f"[{key}={value}]")
-        return "[" + "".join(parts) + "]"
 
-    @property
-    def n_levels(self) -> int:
-        return 1 + sum(1 for key, _ in self.pairs if key == "CONV")
+class MorphParse(NamedTuple):
+    """One processor parse: its stripped text as written, and its levels
+    (the lexical level first, then one per ``CONV``)."""
+
+    text: str
+    levels: tuple
 
 
 def parse_parse_string(text: str) -> MorphParse:
     """Parse a bracketed processor string into a :class:`MorphParse`.
 
     Raises :class:`ParseFormatError` for malformed bracket or pair syntax,
-    for a missing leading ``CAT`` or missing ``ROOT`` pair, and for a
-    ``CONV`` pair that appears before ``ROOT``.
+    for a missing leading ``CAT`` or missing ``ROOT`` pair, for a ``CONV``
+    pair before ``ROOT``, for a ``CAT`` or ``ROOT`` after a ``CONV``, and
+    for a key named twice in one level (its level would hold two values
+    for one feature).
     """
     text = text.strip()
     if len(text) < 2 or text[0] != "[" or text[-1] != "]":
         raise ParseFormatError(f"malformed bracket syntax: {text!r}")
     inner = text[1:-1]
 
-    pairs: list = []
+    levels: list = []
+    category = name = None  # of the level being read
+    proc_type, inflections, seen = "none", [], set()
     pos = 0
     while pos < len(inner):
         match = _PAIR_RE.match(inner, pos)
@@ -164,79 +167,40 @@ def parse_parse_string(text: str) -> MorphParse:
             raise ParseFormatError(
                 f"malformed pair syntax at offset {pos + 1}: {inner[pos:pos + 20]!r}"
             )
-        key, first, second = match.groups()
-        if key == "CONV":
-            if second is None:
-                raise ParseFormatError(
-                    "malformed pair syntax: CONV needs a category and a suffix"
-                )
-            pairs.append(("CONV", (sys.intern(first), sys.intern(second))))
-        else:
-            if second is not None:
-                raise ParseFormatError(
-                    f"malformed pair syntax: {key} takes a single value"
-                )
-            pairs.append((sys.intern(key), sys.intern(first)))
         pos = match.end()
+        key, first, second = match.groups()
+        if (key == "CONV") == (second is None):
+            needs = "needs a category and a suffix" if key == "CONV" else "takes a single value"
+            raise ParseFormatError(f"malformed pair syntax: {key} {needs}")
+        if category is None and key != "CAT":
+            raise ParseFormatError("parse must start with a CAT pair")
+        if levels and key in ("CAT", "ROOT"):
+            raise ParseFormatError(f"{key} appears after a CONV")
+        if key in seen:
+            raise ParseFormatError(f"{key} appears twice in one level")
 
-    if not pairs or pairs[0][0] != "CAT":
-        raise ParseFormatError("parse must start with a CAT pair")
-    keys = [key for key, _ in pairs]
-    if "ROOT" not in keys:
-        raise ParseFormatError("parse has no ROOT pair")
-    if "CONV" in keys and keys.index("CONV") < keys.index("ROOT"):
-        raise ParseFormatError("CONV conversion appears before ROOT")
-    return MorphParse(pairs)
-
-
-@dataclass
-class Level:
-    """One morphological level of a parse.
-
-    The lexical level names the root; each derived level names the
-    derivational suffix.  ``proc_category`` and ``proc_type`` are the
-    processor's category atoms, already lowercased/mapped for table lookup.
-    """
-
-    proc_category: str
-    proc_type: str = "none"
-    root: Optional[str] = None
-    suffix: Optional[str] = None
-    inflections: list = field(default_factory=list)
-
-
-def split_levels(parse: MorphParse) -> list:
-    """Unpack a parse into its lexical and derived levels, in order."""
-    levels = []
-    current: Optional[Level] = None
-    for key, value in parse.pairs:
-        if key == "CAT":
-            current = Level(proc_category=value.lower())
-        elif key == "ROOT":
-            current.root = normalize_root(value)
-        elif key == "CONV":
-            levels.append(current)
-            target, suffix = value
-            current = Level(proc_category=target.lower(), suffix=map_value(suffix))
-        elif key == "TYPE":
-            current.proc_type = map_value(value)
-        else:
-            current.inflections.append((key.lower(), map_value(value)))
-    levels.append(current)
-    return levels
-
-
-def _repeated_key(parse: MorphParse) -> Optional[str]:
-    """The first key that appears twice within one level of ``parse``."""
-    seen: set = set()
-    for key, _ in parse.pairs:
+        seen.add(key)
         if key == "CONV":
-            seen.clear()
-        elif key in seen:
-            return key
+            if name is None:
+                raise ParseFormatError("CONV conversion appears before ROOT")
+            levels.append(Level(category, proc_type, name, tuple(inflections)))
+            category, name = sys.intern(first.lower()), map_value(second)
+            proc_type, inflections, seen = "none", [], set()
+        elif key == "CAT":
+            category = sys.intern(first.lower())
+        elif key == "ROOT":
+            name = sys.intern(normalize_root(first))
+        elif key == "TYPE":
+            proc_type = map_value(first)
         else:
-            seen.add(key)
-    return None
+            inflections.append((sys.intern(key.lower()), map_value(first)))
+
+    if category is None:
+        raise ParseFormatError("parse must start with a CAT pair")
+    if name is None:
+        raise ParseFormatError("parse has no ROOT pair")
+    levels.append(Level(category, proc_type, name, tuple(inflections)))
+    return MorphParse(text, tuple(levels))
 
 
 @dataclass
@@ -249,8 +213,7 @@ class AnalyzerTable:
     def load(cls, path) -> "AnalyzerTable":
         """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate.
 
-        A parse that names a key twice in one level is rejected: its level
-        would hold two values for one feature.
+        A bad parse fails with ``path:line``.
         """
         table: dict = {}
         for lineno, (surface, parse_text) in read_rows(path, 2):
@@ -258,15 +221,12 @@ class AnalyzerTable:
                 parse = parse_parse_string(parse_text)
             except ParseFormatError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            key = _repeated_key(parse)
-            if key is not None:
-                raise ValueError(f"{path}:{lineno}: {key} appears twice in one level")
             table.setdefault(sys.intern(surface), []).append(parse)
         return cls(table)
 
     def lookup(self, surface: str) -> list:
-        """Return fresh parse copies for ``surface`` (empty if unknown)."""
-        return [MorphParse(list(p.pairs)) for p in self.parses.get(surface, ())]
+        """The parses of ``surface`` (empty if unknown)."""
+        return list(self.parses.get(surface, ()))
 
     def surfaces(self) -> Iterator[str]:
         return iter(self.parses)

@@ -155,8 +155,9 @@ PATH_VALUES = {
 }
 
 
-def test_criterion_7_random_queries_sound_and_filter_equivalent(engine):
-    rng = random.Random(20240825)
+@pytest.mark.parametrize("seed", [20240825, 7])
+def test_criterion_7_random_queries_sound_and_filter_equivalent(engine, seed):
+    rng = random.Random(seed)
     paths = list(PATH_VALUES)
     failures = []
     for i in range(500):

@@ -219,6 +219,19 @@ class TestDbAddDelete:
         assert "a clause holding a line break cannot be saved" in result.output
         assert tmp_db.read_bytes() == before
 
+    @pytest.mark.parametrize("root", ["a b", ""])
+    def test_add_root_that_is_not_one_word_exits_2_and_keeps_the_file(self, runner, tmp_db, root):
+        before = tmp_db.read_bytes()
+        result = runner.invoke(
+            main,
+            ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", root,
+             NEW_ENTRY.replace("stem:yol", f"stem:'{root}'")],
+        )
+        assert result.exit_code == 2
+        assert f"root {root!r} is not one word without whitespace" in result.output
+        assert tmp_db.read_bytes() == before
+        assert runner.invoke(main, ["--db", str(tmp_db), "check"]).exit_code == 0
+
     def test_add_bad_fs_exits_2(self, runner, tmp_db):
         result = runner.invoke(
             main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol", "[oops"]
@@ -307,6 +320,24 @@ class TestCheck:
         result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
         assert result.exit_code == 1
         assert f"{analyzer}:{lineno}: AGR appears twice in one level" in result.output
+
+    @pytest.mark.parametrize(
+        "parse, message",
+        [
+            ("[[CAT=VERB][ROOT=kaz][CONV=NOUN=MA][CAT=ADJ][AGR=3SG]]", "CAT appears after a CONV"),
+            ("[[CAT=NOUN][ROOT=at][CONV=VERB=NONE][ROOT=ek]]", "ROOT appears after a CONV"),
+            ("[[CAT=NOUN][ROOT=at][ROOT=ek]]", "ROOT appears twice in one level"),
+        ],
+    )
+    def test_parse_with_a_misplaced_cat_or_root_fails(self, runner, tmp_path, parse, message):
+        analyzer = tmp_path / "analyzer.tsv"
+        shutil.copy(bundled_path("analyzer.tsv"), analyzer)
+        lineno = len(analyzer.read_text(encoding="utf-8").splitlines()) + 1
+        with analyzer.open("a", encoding="utf-8") as handle:
+            handle.write(f"kazma\t{parse}\n")
+        result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
+        assert result.exit_code == 1
+        assert f"{analyzer}:{lineno}: {message}" in result.output
 
     def test_every_bad_file_is_listed_in_order(self, runner, tmp_path):
         rootmap = tmp_path / "rootmap.tsv"

@@ -460,6 +460,15 @@ class TestAddDelete:
         with pytest.raises(InvariantError, match="is not a concept"):
             add_entry(db, entry)
 
+    @pytest.mark.parametrize("root", ["a b", "", "a\tb"])
+    def test_add_rejects_root_that_is_not_one_word(self, db, root):
+        entry = dataclasses.replace(make_entry(), root=root)
+        entry.fs["morph"]["stem"] = root
+        clauses = len(db.clauses)
+        with pytest.raises(InvariantError, match="is not one word without whitespace$"):
+            add_entry(db, entry)
+        assert len(db.clauses) == clauses
+
     def test_add_rejects_cat_mismatch(self, db):
         entry = make_entry()
         entry.fs["cat"]["min"] = "pronoun"

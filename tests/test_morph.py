@@ -1,19 +1,20 @@
 """Tests for processor parse strings, value normalisation and level splitting."""
 
+import dataclasses
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from turklex._data import bundled_path
+from turklex._data import bundled_path, read_rows
+from turklex.featstruct import parse_fs_text
 from turklex.morph import (
     AnalyzerTable,
-    MorphParse,
+    Level,
     ParseFormatError,
     map_value,
     normalize_root,
     parse_parse_string,
-    split_levels,
 )
 
 ATIM_NOMINAL = "[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=1SG][CASE=NOM]]"
@@ -36,22 +37,16 @@ def table():
 
 class TestParseString:
     def test_simple_round_trip(self):
-        parse = parse_parse_string(ATIM_NOMINAL)
-        assert parse.render() == ATIM_NOMINAL
+        parse = parse_parse_string(f"  {ATIM_NOMINAL}\n")
+        assert parse.text == ATIM_NOMINAL
+        assert parse_parse_string(parse.text) == parse
 
-    def test_conv_stored_as_triple(self):
-        parse = parse_parse_string(ATIM_VERBAL)
-        assert ("CONV", ("VERB", "NONE")) in parse.pairs
-        assert parse.render() == ATIM_VERBAL
-
-    def test_n_levels_counts_conversions(self):
-        assert parse_parse_string(ATIM_NOMINAL).n_levels == 1
-        assert parse_parse_string(ATIM_VERBAL).n_levels == 2
-
-    def test_round_trip_every_fixture_parse(self, table):
-        for surface in table.surfaces():
-            for parse in table.lookup(surface):
-                assert parse_parse_string(parse.render()).pairs == parse.pairs
+    def test_round_trip_every_fixture_parse(self):
+        path = bundled_path("analyzer.tsv")
+        for _, (_, text) in read_rows(path, 2):
+            parse = parse_parse_string(text)
+            assert parse.text == text
+            assert parse_parse_string(parse.text) == parse
 
     def test_missing_outer_brackets(self):
         with pytest.raises(ParseFormatError, match="malformed"):
@@ -127,61 +122,47 @@ class TestValueNormalisation:
 
 
 class TestSplitLevels:
+    """The levels a parse is split into when it is read."""
+
     def test_single_level(self):
-        (level,) = split_levels(parse_parse_string(ATIM_NOMINAL))
-        assert level.proc_category == "noun"
-        assert level.proc_type == "none"
-        assert level.root == "at"
-        assert level.suffix is None
-        assert level.inflections == [
-            ("agr", "3sg"),
-            ("poss", "1sg"),
-            ("case", "nom"),
-        ]
+        (level,) = parse_parse_string(ATIM_NOMINAL).levels
+        assert level == Level(
+            "noun", "none", "at", (("agr", "3sg"), ("poss", "1sg"), ("case", "nom"))
+        )
 
     def test_two_levels(self):
-        lexical, derived = split_levels(parse_parse_string(ATIM_VERBAL))
-        assert lexical.inflections == [
-            ("agr", "3sg"),
-            ("poss", "none"),
-            ("case", "nom"),
-        ]
+        lexical, derived = parse_parse_string(ATIM_VERBAL).levels
+        assert lexical.inflections == (("agr", "3sg"), ("poss", "none"), ("case", "nom"))
         assert derived.proc_category == "verb"
-        assert derived.suffix == "none"
-        assert derived.root is None
-        assert derived.inflections == [("tam2", "pres"), ("agr", "1sg")]
+        assert derived.name == "none"  # the mapped suffix
+        assert derived.inflections == (("tam2", "pres"), ("agr", "1sg"))
 
     def test_type_on_lexical_level(self):
-        (level,) = split_levels(parse_parse_string(EKIM_TEMP))
+        (level,) = parse_parse_string(EKIM_TEMP).levels
         assert level.proc_type == "temp1"
         # TYPE is not an inflection
         assert ("type", "temp1") not in level.inflections
 
     def test_type_on_derived_level(self):
-        lexical, derived = split_levels(parse_parse_string(KAZMA_INF))
+        lexical, derived = parse_parse_string(KAZMA_INF).levels
         assert lexical.proc_type == "none"
-        assert derived.proc_category == "noun"
-        assert derived.proc_type == "infinitive"
-        assert derived.suffix == "ma"
-        assert derived.inflections == [
-            ("agr", "3sg"),
-            ("poss", "none"),
-            ("case", "nom"),
-        ]
+        assert derived == Level(
+            "noun", "infinitive", "ma", (("agr", "3sg"), ("poss", "none"), ("case", "nom"))
+        )
 
     def test_sense_is_an_ordinary_inflection(self):
-        lexical, _ = split_levels(parse_parse_string(KAZMA_INF))
+        lexical, _ = parse_parse_string(KAZMA_INF).levels
         assert ("sense", "pos") in lexical.inflections
 
     def test_lexical_level_may_have_no_inflections(self):
-        lexical, derived = split_levels(parse_parse_string(MEMNUN_VERBAL))
-        assert lexical.inflections == []
-        assert derived.inflections == [("tam2", "pres"), ("agr", "1sg")]
+        lexical, derived = parse_parse_string(MEMNUN_VERBAL).levels
+        assert lexical.inflections == ()
+        assert derived.inflections == (("tam2", "pres"), ("agr", "1sg"))
 
     def test_level_count_matches_conversions(self, table):
         for surface in table.surfaces():
             for parse in table.lookup(surface):
-                assert len(split_levels(parse)) == parse.n_levels
+                assert len(parse.levels) == 1 + parse.text.count("[CONV=")
 
 
 class TestAnalyzerTable:
@@ -195,10 +176,20 @@ class TestAnalyzerTable:
     def test_unknown_surface(self, table):
         assert table.lookup("yok") == []
 
-    def test_lookup_returns_fresh_copies(self, table):
-        first = table.lookup("atIm")
-        first[0].pairs.append(("CASE", "LOC"))
-        assert table.lookup("atIm")[0].pairs[-1] != ("CASE", "LOC")
+    def test_lookup_returns_immutable_parses(self, table):
+        parses = table.lookup("atIm")
+        parse = parses[0]
+        with pytest.raises(AttributeError):
+            parse.text = ATIM_NOMINAL
+        with pytest.raises(TypeError):
+            parse.levels[0] = parse.levels[0]
+        with pytest.raises(AttributeError):
+            parse.levels[0].name = "ek"
+        with pytest.raises(AttributeError):
+            parse.levels[0].inflections.append(("case", "loc"))
+        # the list itself is the caller's
+        parses.clear()
+        assert len(table.lookup("atIm")) == 3
 
     def test_load_reports_line_numbers(self, tmp_path):
         bad = tmp_path / "table.tsv"
@@ -212,6 +203,7 @@ class TestAnalyzerTable:
             ("[[CAT=NOUN][ROOT=at][AGR=3SG][AGR=1SG][CASE=NOM]]", "AGR"),
             ("[[CAT=VERB][ROOT=kaz][CONV=NOUN=MA][CASE=NOM][AGR=3SG][CASE=LOC]]", "CASE"),
             ("[[CAT=NOUN][ROOT=ekim][TYPE=TEMP1][TYPE=TEMP1]]", "TYPE"),
+            ("[[CAT=NOUN][ROOT=at][AGR=3SG][ROOT=ek]]", "ROOT"),
         ],
     )
     def test_load_rejects_a_key_twice_in_one_level(self, tmp_path, parse, key):
@@ -220,6 +212,36 @@ class TestAnalyzerTable:
         message = f"{bad}:2: {key} appears twice in one level"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AnalyzerTable.load(bad)
+
+    @pytest.mark.parametrize(
+        "parse, key",
+        [
+            # a new CAT level would drop the CONV level and its suffix
+            ("[[CAT=VERB][ROOT=kaz][CONV=NOUN=MA][CAT=ADJ][AGR=3SG]]", "CAT"),
+            ("[[CAT=NOUN][ROOT=at][CONV=VERB=NONE][ROOT=ek]]", "ROOT"),
+        ],
+    )
+    def test_load_rejects_cat_or_root_after_conv(self, tmp_path, parse, key):
+        bad = tmp_path / "table.tsv"
+        bad.write_text(f"at\t{ATIM_NOMINAL}\natIm\t{parse}\n", encoding="utf-8")
+        message = f"{bad}:2: {key} appears after a CONV"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnalyzerTable.load(bad)
+
+    def test_unknown_value_warns_at_load_not_per_query(self, tmp_path, caplog, engine):
+        path = tmp_path / "table.tsv"
+        path.write_text("attan\t[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=NONE][CASE=ABL]]\n",
+                        encoding="utf-8")
+        with caplog.at_level("WARNING", logger="turklex.morph"):
+            analyzer = AnalyzerTable.load(path)
+        assert "no mapping for processor value 'ABL'" in caplog.text
+        caplog.clear()
+        engine = dataclasses.replace(engine, analyzer=analyzer)
+        with caplog.at_level("DEBUG"):
+            trace = engine.run(parse_fs_text("[phon:attan]"))
+        assert caplog.records == []
+        (tp,) = trace.transformed
+        assert tp.levels[0].inflections["case"] == "abl"
 
     def test_load_rejects_wrong_field_count(self, tmp_path):
         bad = tmp_path / "table.tsv"
@@ -237,34 +259,51 @@ class TestAnalyzerTable:
         assert len(table.lookup("at")) == 2
 
 
-# Random parses assembled from realistic components must round-trip through
-# render/parse and split into the advertised number of levels.
+# Random parse texts with unique keys per level must read back into the
+# levels, names and mapped inflections they were drawn from, keeping the text.
 
-_keys = st.sampled_from(["AGR", "POSS", "CASE", "TAM1", "TAM2", "SENSE"])
-_values = st.sampled_from(["3SG", "1SG", "2SG", "NONE", "NOM", "LOC", "PRES", "POS", "NEG"])
-_inflection = st.tuples(_keys, _values)
-_conv = st.tuples(
-    st.just("CONV"),
-    st.tuples(st.sampled_from(["VERB", "NOUN", "ADJ", "ADVERB"]),
-              st.sampled_from(["NONE", "MA", "LI", "CA", "DIK"])),
+_VALUES = [("3SG", "3sg"), ("1SG", "1sg"), ("2SG", "2sg"), ("NONE", "none"), ("NOM", "nom"),
+           ("LOC", "loc"), ("PRES", "pres"), ("POS", "pos"), ("NEG", "neg"), ("TEMP1", "temp1")]
+_level_tail = st.lists(
+    st.tuples(st.sampled_from(["AGR", "POSS", "CASE", "TAM1", "TAM2", "SENSE", "TYPE"]),
+              st.sampled_from(_VALUES)),
+    max_size=5,
+    unique_by=lambda pair: pair[0],
 )
-_level_tail = st.lists(_inflection, max_size=4)
+
+
+def _level(category, name, tail):
+    """The pair texts of one drawn level, and the Level it should read as."""
+    texts = [f"[{key}={raw}]" for key, (raw, _) in tail]
+    mapped = dict(tail)
+    proc_type = mapped["TYPE"][1] if "TYPE" in mapped else "none"
+    inflections = tuple((key.lower(), value) for key, (_, value) in tail if key != "TYPE")
+    return texts, Level(category, proc_type, name, inflections)
 
 
 @st.composite
 def random_parses(draw):
-    pairs = [("CAT", draw(st.sampled_from(["NOUN", "VERB", "ADJ"]))),
-             ("ROOT", draw(st.sampled_from(["at", "eK", "kaz", "memnun", "akIl"])))]
-    pairs.extend(draw(_level_tail))
+    """A parse text and the levels it should read as."""
+    cat = draw(st.sampled_from(["NOUN", "VERB", "ADJ"]))
+    raw_root, root = draw(st.sampled_from(
+        [("at", "at"), ("eK", "ek"), ("kaz", "kaz"), ("memnun", "memnun"), ("akIl", "akIl")]))
+    texts, lexical = _level(cat.lower(), root, draw(_level_tail))
+    texts.insert(draw(st.integers(0, len(texts))), f"[ROOT={raw_root}]")
+    texts.insert(0, f"[CAT={cat}]")
+    levels = [lexical]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        pairs.append(draw(_conv))
-        pairs.extend(draw(_level_tail))
-    return MorphParse(pairs)
+        target = draw(st.sampled_from(["VERB", "NOUN", "ADJ", "ADVERB"]))
+        raw_suffix, suffix = draw(st.sampled_from(
+            [("NONE", "none"), ("MA", "ma"), ("LI", "lI"), ("CA", "ca"), ("DIK", "dIk")]))
+        level_texts, level = _level(target.lower(), suffix, draw(_level_tail))
+        texts += [f"[CONV={target}={raw_suffix}]"] + level_texts
+        levels.append(level)
+    return "[" + "".join(texts) + "]", tuple(levels)
 
 
 @given(random_parses())
-def test_random_parse_round_trip(parse):
-    rendered = parse.render()
-    again = parse_parse_string(rendered)
-    assert again.pairs == parse.pairs
-    assert len(split_levels(again)) == again.n_levels
+def test_random_parse_round_trip(drawn):
+    text, levels = drawn
+    parse = parse_parse_string(text)
+    assert parse.text == text
+    assert parse.levels == levels
