@@ -11,16 +11,23 @@ intended change of output, regenerate them with::
 ``render_shapes.txt`` holds both layouts of the structures in
 :data:`SHAPES`: tagged empty structures, tagged and empty list and set
 items, nested sets and sequences, none of which the sample set prints.
-Regenerate it with ``python3 -m tests.test_golden`` from the repository
-root, with ``src`` on ``PYTHONPATH``.
+``sense_dropped.txt`` holds ``turklex query --trace full`` in both layouts
+for the two ways retrieval drops a sense, which no sample query shows: a
+derived level whose category has no template, and inflections that
+conflict with a sense.  Regenerate it and ``render_shapes.txt`` with
+``python3 -m tests.test_golden`` from the repository root, with ``src`` on
+``PYTHONPATH``.
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from turklex._data import bundled_path
 from turklex.featstruct import parse_fs_text, render_fs
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,6 +47,40 @@ SHAPES = [
     "[a:<x, !y, {p, q}, f_lI(akIl-(intelligence)), none(at-(horse))>]",
     "[a:@1=[b:@2=[]], c:@2, d:<@1>]",
 ]
+
+
+# the ``-mA`` infinitive's template line, left out of a copy of the database
+NO_TEMPLATE = "template nominal,sentential,act,infinitive,ma "
+# a parse whose lexical level carries form:derived, against form:lexical in
+# every sense of ``at``
+CONFLICTING_PARSE = "atX\t[[CAT=NOUN][ROOT=at][FORM=DERIVED]]\n"
+
+
+def sense_dropped_traces(work: Path) -> bytes:
+    """The CLI's full traces, in both layouts, of ``kazma`` over a database
+    without :data:`NO_TEMPLATE` and of ``atX`` over :data:`CONFLICTING_PARSE`.
+    Data files are written into ``work``."""
+    db = work / "lexicon.fdb"
+    with open(bundled_path("lexicon.fdb"), encoding="utf-8") as handle:
+        kept = [line for line in handle if not line.startswith(NO_TEMPLATE)]
+    db.write_text("".join(kept), encoding="utf-8")
+    analyzer = work / "analyzer.tsv"
+    analyzer.write_text(CONFLICTING_PARSE, encoding="utf-8")
+
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    blocks = []
+    for options, query in [(["--db", str(db)], "[phon:kazma]"),
+                           (["--analyzer", str(analyzer)], "[phon:atX]")]:
+        for style in ("compact", "indented"):
+            result = subprocess.run(
+                [sys.executable, "-m", "turklex.cli", *options,
+                 "query", query, "--trace", "full", "--style", style],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            blocks.append(f"# {query} --style {style}\n".encode() + result.stdout)
+    return b"\n".join(blocks)
 
 
 def render_shapes() -> str:
@@ -69,5 +110,11 @@ def test_render_shapes_are_unchanged():
     assert render_shapes() == (GOLDEN / "render_shapes.txt").read_text(encoding="utf-8")
 
 
+def test_sense_dropped_traces_are_unchanged(tmp_path):
+    assert sense_dropped_traces(tmp_path) == (GOLDEN / "sense_dropped.txt").read_bytes()
+
+
 if __name__ == "__main__":
     (GOLDEN / "render_shapes.txt").write_text(render_shapes(), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as work:
+        (GOLDEN / "sense_dropped.txt").write_bytes(sense_dropped_traces(Path(work)))
