@@ -8,8 +8,8 @@ One binary, three subcommands::
 
 Data file locations come from flags, from TURKLEX_* environment variables,
 or fall back to the bundled sample data.  Exit codes: 0 success (a query
-with zero results is still a success), 1 unreadable or invalid data file,
-2 bad input (unparsable query/entry, missing phon, unknown sense).
+with zero results is still a success), 1 unreadable, invalid or unwritable
+data file, 2 bad input (unparsable query/entry, missing phon, unknown sense).
 """
 
 from __future__ import annotations
@@ -22,17 +22,7 @@ import click
 
 from ._data import bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
-from .engine import (
-    DropRecord,
-    EliminationRecord,
-    FsdbAccess,
-    LexiconEngine,
-    MappingRecord,
-    QueryError,
-    QueryTrace,
-    SkipRecord,
-    TfsdbAccess,
-)
+from .engine import DropRecord, FsdbAccess, LexiconEngine, QueryError, QueryTrace, TfsdbAccess
 from .featstruct import FeatStruct, FSSyntaxError, parse_fs_text, render_fs
 from .fsdb import (
     InvariantError,
@@ -80,6 +70,13 @@ def _load_database(config: Config):
         _fail(str(exc), 1)
 
 
+def _save_database(database, path) -> None:
+    try:
+        save_db(database, path)
+    except (OSError, InvariantError) as exc:
+        _fail(str(exc), 1)
+
+
 def _parse_query_text(text: str) -> FeatStruct:
     try:
         fs = parse_fs_text(text)
@@ -105,17 +102,17 @@ def _render_full(trace: QueryTrace, style: str) -> list:
     lines.append("")
 
     lines.append("Transformation phase started...")
-    for event in trace.events:
-        if isinstance(event, MappingRecord):
-            lines.append("Category mapping from:")
-            lines.append(f"  {event.proc_category}, {event.proc_type} and {event.name}")
-            lines.append("to:")
-            lines.append(f"  {_cat_text(event.cat)}")
-        elif isinstance(event, SkipRecord):
+    for level, cat in trace.mappings:
+        if cat is None:
             lines.append("Exception: Entry not found in LCMT: Skipping parse...")
-            lines.append(f"  {event.proc_category}")
-            lines.append(f"  {event.proc_type}")
-            lines.append(f"  {event.name}")
+            lines.append(f"  {level.proc_category}")
+            lines.append(f"  {level.proc_type}")
+            lines.append(f"  {level.name}")
+        else:
+            lines.append("Category mapping from:")
+            lines.append(f"  {level.proc_category}, {level.proc_type} and {level.name}")
+            lines.append("to:")
+            lines.append(f"  {_cat_text(cat)}")
     lines.append("Transformed parses:")
     lines.append(f"Number of parses: {len(trace.transformed)}")
     for i, tp in enumerate(trace.transformed, 1):
@@ -123,10 +120,9 @@ def _render_full(trace: QueryTrace, style: str) -> list:
     lines.append("")
 
     lines.append("Application of restrictions phase started...")
-    for event in trace.events:
-        if isinstance(event, EliminationRecord):
-            lines.append("Parse eliminated: Printing only the last level...")
-            lines.append(render_fs(event.partial, style=style))
+    for partial in trace.eliminated:
+        lines.append("Parse eliminated: Printing only the last level...")
+        lines.append(render_fs(partial, style=style))
     lines.append("Application of restrictions phase ended...")
     lines.append("Satisfying parses:")
     lines.append(f"Number of parses: {len(trace.satisfying)}")
@@ -245,10 +241,7 @@ def db_add(config: Config, category, root, fs):
         add_entry(database, entry)
     except InvariantError as exc:
         _fail(str(exc), 2)
-    try:
-        save_db(database, config.db)
-    except InvariantError as exc:
-        _fail(str(exc), 1)
+    _save_database(database, config.db)
     click.echo(f"added sense {len(database.entries[(cat, root)])} of {cat.render()} {root}")
 
 
@@ -268,7 +261,7 @@ def db_delete(config: Config, category, root, sense_index):
         delete_entry(database, cat, root, sense_index)
     except (KeyError, IndexError) as exc:
         _fail(str(exc).strip("'"), 2)
-    save_db(database, config.db)
+    _save_database(database, config.db)
     click.echo(f"deleted sense {sense_index} of {cat.render()} {root}")
 
 

@@ -14,15 +14,18 @@ four phases:
    in, derived levels are folded around the stem using the category's
    template, and the full query finally filters the results.
 
-Each phase appends typed records to a :class:`QueryTrace`, which carries
-everything a caller needs to reconstruct the run (counts, skips,
-eliminations, database accesses) without re-running it.
+Each phase fills its own lists of a :class:`QueryTrace`: phase 1
+``parses``; phase 2 ``mappings`` (one per level tried) and
+``transformed``; phase 3 ``eliminated`` and ``satisfying``; phase 4
+``events`` (database accesses and dropped senses, in order), ``retrieved``
+and ``results``.  A caller can reconstruct the run from it without
+re-running it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from ._data import bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
@@ -31,7 +34,6 @@ from .featstruct import (
     FAILURE,
     DerivedConcept,
     FeatStruct,
-    copy_fs,
     project,
     subsumes,
     unify,
@@ -46,32 +48,6 @@ class QueryError(ValueError):
 
 # --------------------------------------------------------------------------
 # trace records
-
-@dataclass
-class MappingRecord:
-    """A successful category mapping of one parse level."""
-
-    proc_category: str
-    proc_type: str
-    name: str  # root for the lexical level, suffix for derived levels
-    cat: Cat5
-
-
-@dataclass
-class SkipRecord:
-    """A parse skipped because a level had no category mapping."""
-
-    proc_category: str
-    proc_type: str
-    name: str
-
-
-@dataclass
-class EliminationRecord:
-    """A parse eliminated by the early restriction check."""
-
-    partial: FeatStruct
-
 
 @dataclass
 class FsdbAccess:
@@ -98,18 +74,25 @@ class DropRecord:
 
 @dataclass
 class QueryTrace:
-    """Everything that happened while answering one query."""
+    """Everything that happened while answering one query, phase by phase.
+
+    ``mappings`` holds a ``(level, cat)`` pair for every parse level tried,
+    with ``cat`` None where the level had no mapping and its parse was
+    skipped; ``eliminated`` holds the partial structure of each parse the
+    early restriction removed; ``events`` holds retrieval's
+    :class:`FsdbAccess`, :class:`TfsdbAccess` and :class:`DropRecord`
+    records in order.
+    """
 
     surface: str
     parses: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    mappings: list = field(default_factory=list)
     transformed: list = field(default_factory=list)
+    eliminated: list = field(default_factory=list)
     satisfying: list = field(default_factory=list)
+    events: list = field(default_factory=list)
     retrieved: list = field(default_factory=list)
     results: list = field(default_factory=list)
-
-    def events_of(self, kind) -> list:
-        return [e for e in self.events if isinstance(e, kind)]
 
 
 # --------------------------------------------------------------------------
@@ -117,23 +100,22 @@ class QueryTrace:
 
 class TransformedLevel(NamedTuple):
     cat: Cat5
-    inflections: FeatStruct
+    inflections: tuple  # the analyzer level's own (key, value) pairs
     suffix: Optional[str]  # None on the lexical level
 
 
-@dataclass
-class TransformedParse:
+class TransformedParse(NamedTuple):
     root: str
-    levels: List[TransformedLevel]
+    levels: tuple  # of TransformedLevel, the lexical level first
 
 
 def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
               trace: QueryTrace) -> Optional[TransformedParse]:
     """Map every level of a parse to a lexicon category.
 
-    Returns None (after recording a skip) as soon as any level has no
-    mapping; the lexical level is tried first, so a parse with an unknown
-    root never reports its derivations.
+    Returns None as soon as any level has no mapping; the lexical level is
+    tried first, so a parse with an unknown root never reports its
+    derivations.  The analyzer's immutable levels are passed on, not copied.
     """
     tlevels = []
     for depth, level in enumerate(parse.levels):
@@ -141,13 +123,11 @@ def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
             cat = derivmap.rows.get((level.proc_category, level.name))
         else:
             cat = rootmap.rows.get((level.proc_category, level.proc_type, level.name))
+        trace.mappings.append((level, cat))
         if cat is None:
-            trace.events.append(SkipRecord(level.proc_category, level.proc_type, level.name))
             return None
-        trace.events.append(MappingRecord(level.proc_category, level.proc_type, level.name, cat))
-        suffix = level.name if depth else None
-        tlevels.append(TransformedLevel(cat, FeatStruct(level.inflections), suffix))
-    return TransformedParse(root=parse.levels[0].name, levels=tlevels)
+        tlevels.append(TransformedLevel(cat, level.inflections, level.name if depth else None))
+    return TransformedParse(parse.levels[0].name, tuple(tlevels))
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +141,7 @@ def partial_outer_fs(tp: TransformedParse, surface: str) -> FeatStruct:
         morph = FeatStruct([("stem", tp.root)])
     else:
         morph = FeatStruct([("derv_suffix", outer.suffix)])
-    for name, value in outer.inflections.items():
+    for name, value in outer.inflections:
         morph[name] = value
     return FeatStruct([("cat", outer.cat.as_fs()), ("morph", morph), ("phon", surface)])
 
@@ -180,7 +160,7 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> 
         if subsumes(restriction, partial):
             keep.append(tp)
         else:
-            trace.events.append(EliminationRecord(partial))
+            trace.eliminated.append(partial)
     return keep
 
 
@@ -210,12 +190,12 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
     morph = FeatStruct(
         [("stem", stem_fs), ("form", "derived"), ("derv_suffix", level.suffix)]
     )
-    pending = dict(level.inflections.items())
+    pending = dict(level.inflections)
     template_morph = template.get("morph")
     if template_morph is not ABSENT:
         for name, default_value in template_morph.items():
             morph[name] = pending.pop(name, default_value)
-    for name, value in level.inflections.items():
+    for name, value in level.inflections:
         if name in pending:
             morph[name] = value
     result["morph"] = morph
@@ -255,17 +235,13 @@ def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace
     senses = lookup(db, lexical.cat, tp.root)
     trace.events.append(FsdbAccess(lexical.cat, tp.root, len(senses)))
 
+    inflections = FeatStruct([("morph", FeatStruct(lexical.inflections))])
     results = []
     for entry in senses:
-        # one copy per sense: unify copies its operands, so a sense is
-        # copied here only when there is nothing to unify into it
-        if len(lexical.inflections):
-            fs = unify(entry.fs, FeatStruct([("morph", lexical.inflections)]))
-            if fs is FAILURE:
-                trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
-                continue
-        else:
-            fs = copy_fs(entry.fs)
+        fs = unify(entry.fs, inflections)  # the sense's one copy
+        if fs is FAILURE:
+            trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
+            continue
         for level in tp.levels[1:]:
             fs = build_derived(level, fs, db, trace)
             if fs is None:

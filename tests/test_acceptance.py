@@ -14,7 +14,6 @@ from . import oracle_unify
 
 from turklex._data import bundled_path
 from turklex.catmap import Cat5, load_inventory
-from turklex.engine import EliminationRecord, FsdbAccess, SkipRecord
 from turklex.featstruct import (
     FeatStruct,
     Neg,
@@ -55,7 +54,7 @@ def test_criterion_1_atim_interpretations(engine):
     trace = engine.run(parse_fs_text("[phon:atIm]"))
     assert len(trace.parses) == 3
     assert len(trace.transformed) == 2
-    skips = trace.events_of(SkipRecord)
+    skips = [level for level, cat in trace.mappings if cat is None]
     assert [(s.proc_category, s.proc_type, s.name) for s in skips] == [
         ("noun", "none", "atIm")
     ]
@@ -68,14 +67,13 @@ def test_criterion_1_atim_interpretations(engine):
 def test_criterion_2_memnunum_verb_restriction(engine):
     trace = engine.run(parse_fs_text("[phon:memnunum, cat:[maj:verb]]"))
     assert len(trace.parses) == 3
-    skips = trace.events_of(SkipRecord)
+    skips = [level for level, cat in trace.mappings if cat is None]
     assert [(s.proc_category, s.proc_type, s.name) for s in skips] == [
         ("noun", "rproper", "memnun")
     ]
-    eliminations = trace.events_of(EliminationRecord)
-    assert len(eliminations) == 1
-    assert get_path(eliminations[0].partial, "cat|min") == "noun"
-    assert get_path(eliminations[0].partial, "cat|sub") == "common"
+    (eliminated,) = trace.eliminated
+    assert get_path(eliminated, "cat|min") == "noun"
+    assert get_path(eliminated, "cat|sub") == "common"
     assert len(trace.results) == 1
     (result,) = trace.results
     assert repr(get_path(result, "sem|concept")) == "none(memnun-(satisfied))"
@@ -87,8 +85,8 @@ def test_criterion_3_ekim_first_person_possessive(engine):
     trace = engine.run(parse_fs_text("[phon:ekim, morph:[poss:'1sg']]"))
     assert len(trace.parses) == 3
     assert len(trace.transformed) == 3
-    assert len(trace.events_of(EliminationRecord)) == 2
-    accesses = trace.events_of(FsdbAccess)
+    assert len(trace.eliminated) == 2
+    accesses = trace.events
     assert [(a.cat.render(), a.root, a.count) for a in accesses] == [
         ("nominal,noun,common,none,none", "ek", 2)
     ]
@@ -107,8 +105,8 @@ def test_criterion_4_ekimde_temporal_restriction(engine):
     )
     # the possessive reading (both senses of "ek") dies in the early phase,
     # so only October's sense is ever retrieved
-    assert len(trace.events_of(EliminationRecord)) == 1
-    accesses = trace.events_of(FsdbAccess)
+    assert len(trace.eliminated) == 1
+    accesses = trace.events
     assert [(a.root, a.count) for a in accesses] == [("ekim", 1)]
     assert len(trace.results) == 1
     assert get_path(trace.results[0], "sem|concept").gloss == "october"

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import shutil
 
 import pytest
@@ -259,6 +260,24 @@ class TestDbAddDelete:
         )
         assert result.exit_code == 2
         assert len(lookup(load(tmp_db), COMMON, "ek")) == 2
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [["add", "nominal,noun,common,none,none", "yol", NEW_ENTRY],
+         ["delete", "nominal,noun,common,none,none", "ek", "0"]],
+    )
+    def test_failed_save_exits_1_and_keeps_the_file(self, runner, tmp_db, monkeypatch, args):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        before = tmp_db.read_bytes()
+        monkeypatch.setattr(os, "replace", refuse)
+        result = runner.invoke(main, ["--db", str(tmp_db), "db", *args])
+        assert result.exit_code == 1
+        assert f"error: cannot replace {tmp_db}" in result.output
+        assert tmp_db.read_bytes() == before
+        assert list(tmp_db.parent.glob("*.tmp")) == []
 
 
 class TestCheck:

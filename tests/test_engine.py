@@ -1,17 +1,16 @@
 """Tests for the four-phase query engine."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from turklex.catmap import Cat5
 from turklex.engine import (
     DropRecord,
-    EliminationRecord,
     FsdbAccess,
-    MappingRecord,
     QueryError,
     QueryTrace,
-    SkipRecord,
     TfsdbAccess,
     TransformedLevel,
     TransformedParse,
@@ -35,7 +34,7 @@ from turklex.featstruct import (
     subsumes,
 )
 from turklex.fsdb import dumps
-from turklex.morph import parse_parse_string
+from turklex.morph import AnalyzerTable, parse_parse_string
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
 ATTR = Cat5.from_text("verb,attributive,none,none,none")
@@ -46,7 +45,7 @@ def q(text):
 
 
 def tlevel(cat, inflections=(), suffix=None):
-    return TransformedLevel(cat, FeatStruct(list(inflections)), suffix)
+    return TransformedLevel(cat, tuple(inflections), suffix)
 
 
 class TestTransform:
@@ -58,9 +57,7 @@ class TestTransform:
         level = tp.levels[0]
         assert level.cat == COMMON
         assert level.suffix is None
-        assert list(level.inflections.items()) == [
-            ("agr", "3sg"), ("poss", "1sg"), ("case", "nom"),
-        ]
+        assert level.inflections == (("agr", "3sg"), ("poss", "1sg"), ("case", "nom"))
 
     def test_derived_mapping(self, engine):
         parse = parse_parse_string(
@@ -75,19 +72,19 @@ class TestTransform:
         trace = QueryTrace(surface="atIm")
         parse = parse_parse_string("[[CAT=NOUN][ROOT=atIm][AGR=3SG][POSS=NONE][CASE=NOM]]")
         assert transform(parse, engine.rootmap, engine.derivmap, trace) is None
-        (skip,) = trace.events_of(SkipRecord)
+        ((skip, cat),) = trace.mappings
         assert (skip.proc_category, skip.proc_type, skip.name) == ("noun", "none", "atIm")
         # a skipped parse reports no mapping lines at all
-        assert trace.events_of(MappingRecord) == []
+        assert cat is None
 
     def test_unknown_derivation_skips(self, engine):
         trace = QueryTrace(surface="x")
         parse = parse_parse_string("[[CAT=NOUN][ROOT=at][CONV=NOUN=ACAK]]")
         assert transform(parse, engine.rootmap, engine.derivmap, trace) is None
-        (skip,) = trace.events_of(SkipRecord)
-        assert skip.name == "acak"
+        (skip, cat) = trace.mappings[-1]
+        assert (skip.name, cat) == ("acak", None)
         # the lexical level mapped fine before the derivation failed
-        assert len(trace.events_of(MappingRecord)) == 1
+        assert len(trace.mappings) == 2
 
     def test_mapping_records_carry_categories(self, engine):
         trace = QueryTrace(surface="x")
@@ -96,12 +93,26 @@ class TestTransform:
             "[AGR=3SG][POSS=NONE][CASE=NOM]]"
         )
         transform(parse, engine.rootmap, engine.derivmap, trace)
-        lexical, derived = trace.events_of(MappingRecord)
-        assert lexical.cat == Cat5.from_text("verb,predicative")
+        (lexical, lexical_cat), (derived, derived_cat) = trace.mappings
+        assert lexical_cat == Cat5.from_text("verb,predicative")
         assert (derived.proc_category, derived.proc_type, derived.name) == (
             "noun", "infinitive", "ma",
         )
-        assert derived.cat == Cat5.from_text("nominal,sentential,act,infinitive,ma")
+        assert derived_cat == Cat5.from_text("nominal,sentential,act,infinitive,ma")
+
+    def test_analyzer_levels_pass_through_uncopied(self, engine):
+        # phase 2 copies nothing: the trace holds the analyzer's own levels,
+        # and the transformed parse is immutable by type
+        trace = engine.run(q("[phon:akIllIca]"))
+        (parse,) = engine.analyzer.parses["akIllIca"]
+        assert len(trace.mappings) == len(parse.levels) == 3
+        for (mapped, _), level in zip(trace.mappings, parse.levels):
+            assert mapped is level
+        (tp,) = trace.transformed
+        assert isinstance(tp.levels, tuple)
+        for transformed, level in zip(tp.levels, parse.levels):
+            assert isinstance(transformed.inflections, tuple)
+            assert transformed.inflections is level.inflections
 
 
 class TestEarlyFilter:
@@ -152,8 +163,8 @@ class TestEarlyFilter:
         trace = QueryTrace(surface="atIm")
         tps = [TransformedParse("at", [tlevel(COMMON, [("poss", "none")])])]
         early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm", trace)
-        (elim,) = trace.events_of(EliminationRecord)
-        assert get_path(elim.partial, "morph|poss") == "none"
+        (partial,) = trace.eliminated
+        assert get_path(partial, "morph|poss") == "none"
 
 
 class TestBuildDerived:
@@ -226,8 +237,8 @@ class TestBuildDerived:
         trace = QueryTrace(surface="x")
         level = tlevel(Cat5.from_text("verb,existential"), suffix="none")
         assert build_derived(level, self.stem(engine), engine.db, trace) is None
-        assert trace.events_of(TfsdbAccess)  # access is recorded before the miss
-        assert trace.events_of(DropRecord)
+        access, drop = trace.events  # access is recorded before the miss
+        assert isinstance(access, TfsdbAccess) and isinstance(drop, DropRecord)
 
 
 class TestRetrieve:
@@ -240,7 +251,8 @@ class TestRetrieve:
         trace = QueryTrace(surface="ek")
         tp = TransformedParse("ek", [tlevel(COMMON)])
         retrieve(tp, engine.db, "ek", trace)
-        (access,) = trace.events_of(FsdbAccess)
+        (access,) = trace.events
+        assert isinstance(access, FsdbAccess)
         assert (access.cat, access.root, access.count) == (COMMON, "ek", 2)
 
     def test_unknown_root_empty(self, engine):
@@ -257,7 +269,8 @@ class TestRetrieve:
         # "form" clashes with the entry's morph|form=lexical
         tp = TransformedParse("at", [tlevel(COMMON, [("form", "derived")])])
         assert retrieve(tp, engine.db, "at", trace) == []
-        assert trace.events_of(DropRecord)
+        access, drop = trace.events
+        assert isinstance(drop, DropRecord)
 
     def test_results_do_not_alias_database(self, engine):
         tp = TransformedParse("at", [tlevel(COMMON)])
@@ -365,12 +378,42 @@ class TestRunQuery:
         for a, b in zip(first, second):
             assert fs_equal(a, b)
 
+    def test_failed_derived_level_ends_its_parse_mappings(self, engine, tmp_path):
+        path = tmp_path / "analyzer.tsv"
+        path.write_text("atacak\t[[CAT=NOUN][ROOT=at][CONV=NOUN=ACAK]]\n", encoding="utf-8")
+        engine = dataclasses.replace(engine, analyzer=AnalyzerTable.load(path))
+        trace = engine.run(q("[phon:atacak]"))
+        ((lexical, derived),) = [parse.levels for parse in trace.parses]
+        assert trace.mappings == [(lexical, COMMON), (derived, None)]
+        assert trace.mappings[0][0] is lexical and trace.mappings[1][0] is derived
+        assert trace.transformed == []
+
+    @pytest.mark.parametrize(
+        "query",
+        ["[phon:atIm]", "[phon:ekim, morph:[poss:'1sg']]",
+         "[phon:ekimde, morph:[poss:none], sem:[temporal:+]]", "[phon:ekim, cat:[maj:verb]]"],
+    )
+    def test_eliminated_are_the_transformed_not_satisfying(self, engine, query):
+        trace = engine.run(q(query))
+        assert len(trace.eliminated) == len(trace.transformed) - len(trace.satisfying)
+
+    def test_trace_fields_the_benchmark_reads(self, engine):
+        # perfbench/run.py's Counts reads these lists and the FsdbAccess and
+        # TfsdbAccess records in trace.events by name, through getattr with a
+        # default: a rename would zero its counts silently instead of failing
+        trace = engine.run(q("[phon:kazma]"))
+        accesses = [e for e in trace.events if type(e).__name__ == "FsdbAccess"]
+        templates = [e for e in trace.events if type(e).__name__ == "TfsdbAccess"]
+        assert [access.count for access in accesses] == [1, 1, 1]
+        assert len(templates) == 1
+        names = ("parses", "transformed", "satisfying", "retrieved", "results")
+        assert [len(getattr(trace, name)) for name in names] == [3, 3, 3, 3, 3]
+
     def test_count_bookkeeping(self, engine):
         trace = engine.run(q("[phon:memnunum, cat:[maj:verb]]"))
-        n_skips = len(trace.events_of(SkipRecord))
-        n_elims = len(trace.events_of(EliminationRecord))
+        n_skips = sum(cat is None for _, cat in trace.mappings)
         assert len(trace.transformed) == len(trace.parses) - n_skips
-        assert len(trace.satisfying) == len(trace.transformed) - n_elims
+        assert len(trace.satisfying) == len(trace.transformed) - len(trace.eliminated)
 
     @pytest.mark.parametrize(
         "query",

@@ -241,7 +241,7 @@ class TestAnalyzerTable:
             trace = engine.run(parse_fs_text("[phon:attan]"))
         assert caplog.records == []
         (tp,) = trace.transformed
-        assert tp.levels[0].inflections["case"] == "abl"
+        assert tp.levels[0].inflections == (("agr", "3sg"), ("poss", "none"), ("case", "abl"))
 
     def test_load_rejects_wrong_field_count(self, tmp_path):
         bad = tmp_path / "table.tsv"
