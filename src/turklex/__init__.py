@@ -11,8 +11,6 @@ sense.
 from .catmap import Cat5
 from .engine import LexiconEngine, QueryError, QueryTrace
 from .featstruct import (
-    ABSENT,
-    FAILURE,
     BaseConcept,
     DerivedConcept,
     FeatStruct,
@@ -32,8 +30,6 @@ from .featstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT",
-    "FAILURE",
     "BaseConcept",
     "Cat5",
     "DerivedConcept",

@@ -30,8 +30,6 @@ from typing import NamedTuple, Optional
 from ._data import bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .featstruct import (
-    ABSENT,
-    FAILURE,
     DerivedConcept,
     FeatStruct,
     project,
@@ -191,22 +189,18 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
         [("stem", stem_fs), ("form", "derived"), ("derv_suffix", level.suffix)]
     )
     pending = dict(level.inflections)
-    template_morph = template.get("morph")
-    if template_morph is not ABSENT:
-        for name, default_value in template_morph.items():
-            morph[name] = pending.pop(name, default_value)
+    for name, default_value in template.get("morph", {}).items():
+        morph[name] = pending.pop(name, default_value)
     for name, value in level.inflections:
         if name in pending:
             morph[name] = value
     result["morph"] = morph
 
-    result["syn"] = _take_over(
-        FeatStruct(), "subcat", stem_fs.get("syn"), template.get("syn")
-    )
+    result["syn"] = _take_over(FeatStruct(), "subcat", stem_fs["syn"], template.get("syn", {}))
     stem_sem = stem_fs["sem"]
     concept = DerivedConcept(level.suffix, stem_sem["concept"])
     result["sem"] = _take_over(
-        FeatStruct([("concept", concept)]), "roles", stem_sem, template.get("sem")
+        FeatStruct([("concept", concept)]), "roles", stem_sem, template.get("sem", {})
     )
 
     result["phon"] = "none"
@@ -217,15 +211,13 @@ def _take_over(block: FeatStruct, name: str, stem_block, template_block) -> Feat
     """Fill a derived ``syn`` or ``sem`` block: ``name`` from the stem's
     block (the stem's object, so role co-indexing survives), or else from
     the template's, then the template's other features in template order.
-    Either block may be ABSENT."""
-    if isinstance(stem_block, FeatStruct) and name in stem_block:
+    A template without the block passes an empty one."""
+    if name in stem_block:
         block[name] = stem_block[name]
-    elif isinstance(template_block, FeatStruct) and name in template_block:
+    elif name in template_block:
         block[name] = template_block[name]
-    if isinstance(template_block, FeatStruct):
-        for other, value in template_block.items():
-            if other not in block:
-                block[other] = value
+    for other, value in template_block.items():
+        block.setdefault(other, value)
     return block
 
 
@@ -239,7 +231,7 @@ def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace
     results = []
     for entry in senses:
         fs = unify(entry.fs, inflections)  # the sense's one copy
-        if fs is FAILURE:
+        if fs is None:
             trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
             continue
         for level in tp.levels[1:]:
@@ -270,8 +262,8 @@ class LexiconEngine:
 
     @classmethod
     def from_paths(cls, analyzer_path, rootmap_path, derivmap_path, db_path,
-                   inventory_path=None) -> "LexiconEngine":
-        inventory = load_inventory(inventory_path) if inventory_path else None
+                   inventory_path) -> "LexiconEngine":
+        inventory = load_inventory(inventory_path)
         return cls(
             analyzer=AnalyzerTable.load(analyzer_path),
             rootmap=RootMapTable.load(rootmap_path, inventory),
@@ -294,7 +286,7 @@ class LexiconEngine:
         if not isinstance(query_fs, FeatStruct):
             raise QueryError("query must be a feature structure")
         phon = query_fs.get("phon")
-        if phon is ABSENT or not isinstance(phon, str):
+        if not isinstance(phon, str):
             raise QueryError("query must specify an atomic phon feature")
 
         trace = QueryTrace(surface=phon)

@@ -8,7 +8,7 @@ Values stored inside a :class:`FeatStruct` are one of:
 * :class:`BaseConcept` / :class:`DerivedConcept` — concept terms
   (``at-(horse)``, ``f_lI(akIl-(intelligence))``, ``none(at-(horse))``)
 * :class:`FeatStruct` — a nested structure: a ``dict`` from feature names
-  to values, whose ``get`` answers :data:`ABSENT` for a missing name
+  to values
 * :class:`Seq` — an ordered sequence ``<...>`` (subcategorization lists),
   a ``list``
 * :class:`FSSet` — an unordered set of structures ``{[...], [...]}``
@@ -32,8 +32,9 @@ dataclasses for :class:`Neg` and the concepts, whose fields cannot be
 assigned), so copies share them.  A negation or concept that could not be
 written back as text is rejected when it is made.
 
-Unification failure is the module-level singleton :data:`FAILURE`, never
-an exception.  Missing-path lookups return :data:`ABSENT`.
+``None`` is never a value, so it means "no value" throughout: :func:`unify`
+returns ``None`` on a clash (never an exception), and ``FeatStruct.get`` and
+:func:`get_path` return ``None`` where no value is.
 
 The parser interns every feature name and atom it returns
 (``sys.intern``), so a database holds one string per distinct name or
@@ -47,25 +48,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-
-
-class _Sentinel:
-    """A distinguished value, compared by ``is`` and false in a test."""
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-    def __bool__(self):
-        return False
-
-
-FAILURE = _Sentinel("<unification failure>")  # unify's result on a clash
-ABSENT = _Sentinel("<absent>")  # a path lookup's result where no value is
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -149,24 +131,12 @@ class _Node:
 
 
 class FeatStruct(_Node, dict):
-    """Ordered mapping from feature names to values.
-
-    A ``dict`` except that :meth:`get` answers :data:`ABSENT` for a missing
-    name, ``==`` is :func:`fs_equal`, and the constructor rejects a repeated
-    name.
-    """
+    """Ordered mapping from feature names to values: a ``dict`` except that
+    ``==`` is :func:`fs_equal` and ``repr`` renders.  ``FeatStruct(pairs)``
+    is ``dict(pairs)``, so a repeated name keeps its last value; the parser
+    rejects one in text."""
 
     __slots__ = ()
-
-    def __init__(self, pairs=()):
-        super().__init__()
-        for name, value in pairs.items() if isinstance(pairs, dict) else pairs:
-            if name in self:
-                raise ValueError(f"duplicate feature name {name!r}")
-            self[name] = value
-
-    def get(self, name, default=ABSENT):
-        return dict.get(self, name, default)
 
 
 class Seq(_Node, list):
@@ -247,18 +217,15 @@ class _Parser:
 
     def parse_fs(self):
         self.expect("[")
-        pairs = []
-        seen = set()
+        fs = FeatStruct()
         self.ws()
         if self.peek() == "]":
             self.pos += 1
-            return FeatStruct()
+            return fs
         while True:
             m = _PAIR_RE.match(self.text, self.pos)
-            if m is not None and m.group(1) not in seen:
-                name = sys.intern(m.group(1))
-                seen.add(name)
-                pairs.append((name, sys.intern(m.group(2))))
+            if m is not None and m.group(1) not in fs:
+                fs[sys.intern(m.group(1))] = sys.intern(m.group(2))
                 self.pos = m.end()
                 if m.group(3) == ",":
                     continue
@@ -269,14 +236,12 @@ class _Parser:
             if not m:
                 self.error("expected feature name")
             name = sys.intern(m.group())
-            if name in seen:
+            if name in fs:
                 self.error(f"duplicate feature name {name!r}")
-            seen.add(name)
             self.pos = m.end()
             self.ws()
             self.expect(":")
-            value = self.parse_value()
-            pairs.append((name, value))
+            fs[name] = self.parse_value()
             self.ws()
             c = self.peek()
             if c == ",":
@@ -294,7 +259,7 @@ class _Parser:
                 self.pos += 1
                 break
             self.error("expected ',', ']' or '|_'")
-        return FeatStruct(pairs)
+        return fs
 
     def parse_value(self):
         self.ws()
@@ -586,7 +551,7 @@ def _copy_node(node, memo):
 
 def unify(x, y):
     """Unify two values (structures, atoms, sets, negations, ...); returns a
-    new value or FAILURE.
+    new value or None.
 
     Operands are never mutated.  Sharing topology inside (and across) the
     operands is preserved in the result.
@@ -599,8 +564,8 @@ def _merge(a: FeatStruct, b: FeatStruct):
     for name, bv in b.items():
         if name in a:
             merged = _merge_values(a[name], bv)
-            if merged is FAILURE:
-                return FAILURE
+            if merged is None:
+                return None
             a[name] = merged
         else:
             a[name] = bv
@@ -612,38 +577,38 @@ _ATOMIC = (str, frozenset, Neg)
 
 def _merge_values(x, y):
     if isinstance(x, str) and isinstance(y, str):
-        return x if x == y else FAILURE
+        return x if x == y else None
     if isinstance(x, FeatStruct):
-        return _merge(x, y) if isinstance(y, FeatStruct) else FAILURE
+        return _merge(x, y) if isinstance(y, FeatStruct) else None
     if isinstance(x, _ATOMIC):
-        return _meet_atoms(x, y) if isinstance(y, _ATOMIC) else FAILURE
+        return _meet_atoms(x, y) if isinstance(y, _ATOMIC) else None
     if isinstance(x, Seq):
         if not isinstance(y, Seq) or len(x) != len(y):
-            return FAILURE
+            return None
         merged = []
         for xv, yv in zip(x, y):
             m = _merge_values(xv, yv)
-            if m is FAILURE:
-                return FAILURE
+            if m is None:
+                return None
             merged.append(m)
         x[:] = merged
         return x
     # a concept meets only an equal concept, and a constraint set only an
     # equal set: the pipeline never unifies constraint sets deeply
-    return x if x == y else FAILURE
+    return x if x == y else None
 
 
 def _meet_atoms(x, y):
     """Meet of two atoms, atom sets or negations, each read as the set of
-    atoms it allows: the atoms both allow, or FAILURE if none; one atom is
-    a bare ``str``, more a ``frozenset``.
+    atoms it allows: the atoms both allow, or None if there are none; one
+    atom is a bare ``str``, more a ``frozenset``.
 
     "not a and not b" has no value form in an open atom universe, so two
     negations meet conservatively: identical ones succeed, different fail.
     """
     if isinstance(x, Neg):
         if isinstance(y, Neg):
-            return x if x == y else FAILURE
+            return x if x == y else None
         x, y = y, x  # so only y can be a negation
     allowed = {x} if isinstance(x, str) else x
     if isinstance(y, Neg):
@@ -651,7 +616,7 @@ def _meet_atoms(x, y):
     else:
         meet = allowed & ({y} if isinstance(y, str) else y)
     if not meet:
-        return FAILURE
+        return None
     return next(iter(meet)) if len(meet) == 1 else frozenset(meet)
 
 
@@ -686,7 +651,7 @@ def subsumes(general, specific) -> bool:
     if type(specific) in _NODE_TYPES:
         return False
     # atomic against atomic: compatible iff they unify (pure for atoms)
-    return _merge_values(general, specific) is not FAILURE
+    return _merge_values(general, specific) is not None
 
 
 # ------------------------------------------------------------ paths, access
@@ -702,13 +667,12 @@ def parse_path(path):
 
 
 def get_path(fs: FeatStruct, path):
-    """Value at a feature path, or ABSENT."""
-    current = fs
+    """Value at a feature path, or None."""
     for name in parse_path(path):
-        if not isinstance(current, FeatStruct) or name not in current:
-            return ABSENT
-        current = current[name]
-    return current
+        if not isinstance(fs, FeatStruct):
+            return None
+        fs = fs.get(name)
+    return fs
 
 
 def project(fs: FeatStruct, top_features) -> FeatStruct:

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .catmap import Cat5
 from .featstruct import (
-    ABSENT,
     Concept,
     FeatStruct,
     FSSyntaxError,
@@ -118,18 +117,20 @@ def fill_entry_defaults(fs: FeatStruct, cat: Cat5) -> None:
     """Fill class-wide default features an entry leaves unstated (in place).
 
     Idempotent: features already present, whatever their value, are kept.
+    Only a ``syn`` or ``sem`` that is a structure is filled; validation
+    rejects any other.
     """
     # Every word subcategorises; "none" means it takes no complements.
     syn = fs.get("syn")
-    if syn is ABSENT:
+    if syn is None:
         syn = FeatStruct([("subcat", "none")])
         before_sem = list(fs).index("sem") if "sem" in fs else len(fs)
         _insert_feature(fs, "syn", syn, before_sem)
-    elif "subcat" not in syn:
+    elif isinstance(syn, FeatStruct) and "subcat" not in syn:
         _insert_feature(syn, "subcat", "none", 0)
 
     sem = fs.get("sem")
-    if sem is ABSENT:
+    if not isinstance(sem, FeatStruct):
         return  # validation will reject the entry anyway
 
     def default(name: str, value: str) -> None:
@@ -157,7 +158,7 @@ def fill_entry_defaults(fs: FeatStruct, cat: Cat5) -> None:
 def _require_block(fs: FeatStruct, name: str, what: str) -> FeatStruct:
     block = fs.get(name)
     if not isinstance(block, FeatStruct):
-        raise InvariantError(f"{what}: missing {name} block")
+        raise InvariantError(f"{what}: {name} block is missing or not a structure")
     return block
 
 
@@ -182,20 +183,27 @@ def validate_entry(entry: LexiconEntry) -> None:
         raise InvariantError(f"{what}: morph|stem {morph.get('stem')!r} differs from root")
     if morph.get("form") != "lexical":
         raise InvariantError(f"{what}: morph|form must be 'lexical'")
+    _require_block(entry.fs, "syn", what)
     sem = _require_block(entry.fs, "sem", what)
     concept = sem.get("concept")
-    if concept is ABSENT:
+    if concept is None:
         raise InvariantError(f"{what}: sem|concept is missing")
     if not isinstance(concept, Concept):
         raise InvariantError(f"{what}: sem|concept {concept!r} is not a concept")
     if (entry.cat.maj, entry.cat.min, entry.cat.sub) == ("nominal", "noun", "common"):
         for flag in _COMMON_NOUN_FLAGS:
-            if sem.get(flag) is ABSENT:
+            if flag not in sem:
                 raise InvariantError(f"{what}: common noun lacks sem|{flag}")
 
 
 def validate_template(template: TemplateEntry) -> None:
-    _check_cat(template.fs, template.cat, f"template {template.cat.render()}")
+    """A template's ``cat`` spells out its key, and each ``morph``, ``syn``
+    or ``sem`` it holds is a structure."""
+    what = f"template {template.cat.render()}"
+    _check_cat(template.fs, template.cat, what)
+    for name in ("morph", "syn", "sem"):
+        if name in template.fs:
+            _require_block(template.fs, name, what)
 
 
 # --------------------------------------------------------------------------

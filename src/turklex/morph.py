@@ -148,9 +148,11 @@ def parse_parse_string(text: str) -> MorphParse:
 
     Raises :class:`ParseFormatError` for malformed bracket or pair syntax,
     for a missing leading ``CAT`` or missing ``ROOT`` pair, for a ``CONV``
-    pair before ``ROOT``, for a ``CAT`` or ``ROOT`` after a ``CONV``, and
-    for a key named twice in one level (its level would hold two values
-    for one feature).
+    pair before ``ROOT``, for a ``CAT`` or ``ROOT`` after a ``CONV``, for
+    a key named twice in one level (its level would hold two values for one
+    feature), and for a ``FORM`` or ``STEM`` pair at any level (the lexicon
+    sets ``morph|form`` and ``morph|stem``, so the pair would clash with
+    every sense or overwrite the derived stem).
     """
     text = text.strip()
     if len(text) < 2 or text[0] != "[" or text[-1] != "]":
@@ -178,6 +180,8 @@ def parse_parse_string(text: str) -> MorphParse:
             raise ParseFormatError(f"{key} appears after a CONV")
         if key in seen:
             raise ParseFormatError(f"{key} appears twice in one level")
+        if key in ("FORM", "STEM"):
+            raise ParseFormatError(f"{key} is set by the lexicon, not the analyzer")
 
         seen.add(key)
         if key == "CONV":

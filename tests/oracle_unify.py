@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from turklex.featstruct import FAILURE, FeatStruct, Neg, unify
+from turklex.featstruct import FeatStruct, Neg, unify
 
 UNIVERSE = ("a", "b", "c", "d", "e", "f")
 
@@ -96,7 +96,7 @@ def library_matches(lib_result, oracle_result):
     """True iff the library's unification result denotes the oracle's set
     in canonical form: an atom set has at least two members, so a
     one-atom result is a bare ``str``."""
-    if lib_result is FAILURE:
+    if lib_result is None:
         return oracle_result is FAIL
     if oracle_result is FAIL:
         return False
@@ -155,9 +155,9 @@ def check_pair(a, b):
     if not library_matches(got, expected):
         return f"unify({a!r}, {b!r}): library {got!r} != oracle {expected!r}"
     # commutativity: same failure status and same denotation
-    if (got is FAILURE) != (got_rev is FAILURE):
+    if (got is None) != (got_rev is None):
         return f"unify({a!r}, {b!r}): commutativity failure-status mismatch"
-    if got is not FAILURE and not library_matches(got_rev, expected):
+    if got is not None and not library_matches(got_rev, expected):
         return f"unify({b!r}, {a!r}): reversed result diverges from oracle"
     return None
 

@@ -26,10 +26,7 @@ atomic_values = st.one_of(atoms, atom_sets, negated, concepts)
 
 
 def _structs(values):
-    return st.builds(
-        lambda pairs: FeatStruct(list(pairs.items())),
-        st.dictionaries(feature_names, values, max_size=4),
-    )
+    return st.builds(FeatStruct, st.dictionaries(feature_names, values, max_size=4))
 
 
 feat_structs = st.recursive(

@@ -233,6 +233,23 @@ class TestDbAddDelete:
         assert tmp_db.read_bytes() == before
         assert runner.invoke(main, ["--db", str(tmp_db), "check"]).exit_code == 0
 
+    @pytest.mark.parametrize(
+        "old, new", [("sem:[concept:yol-(road), countable:+]", "sem:foo"),
+                     ("sem:", "syn:foo, sem:")]
+    )
+    def test_add_block_that_is_not_a_structure_exits_2_and_keeps_the_file(
+        self, runner, tmp_db, old, new
+    ):
+        before = tmp_db.read_bytes()
+        result = runner.invoke(
+            main,
+            ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol",
+             NEW_ENTRY.replace(old, new)],
+        )
+        assert result.exit_code == 2
+        assert f"{new.partition(':')[0]} block is missing or not a structure" in result.output
+        assert tmp_db.read_bytes() == before
+
     def test_add_bad_fs_exits_2(self, runner, tmp_db):
         result = runner.invoke(
             main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol", "[oops"]
@@ -357,6 +374,46 @@ class TestCheck:
         result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
         assert result.exit_code == 1
         assert f"{analyzer}:{lineno}: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "head, old, new",
+        [
+            ("entry nominal,noun,common,none,none at ", "sem:[", "sem:foo, old:["),
+            ("entry nominal,noun,common,none,none at ", "sem:", "syn:foo, sem:"),
+            ("template nominal,sentential,act,infinitive,ma ", "syn:", "morph:foo, syn:"),
+        ],
+        ids=["entry-sem", "entry-syn", "template-morph"],
+    )
+    def test_block_that_is_not_a_structure_fails(self, runner, tmp_db, head, old, new):
+        lines = tmp_db.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(head))
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        tmp_db.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        block = new.partition(":")[0]
+        message = f"{tmp_db}:{lineno}: {head.rstrip()}: "
+        for args in (["check"], ["query", "[phon:kazma]"]):
+            result = runner.invoke(main, ["--db", str(tmp_db), *args])
+            assert result.exit_code == 1
+            assert message in result.output
+            assert f"{block} block is missing or not a structure" in result.output
+
+    @pytest.mark.parametrize(
+        "parse, key",
+        [
+            ("[[CAT=NOUN][ROOT=at][FORM=DERIVED]]", "FORM"),
+            ("[[CAT=VERB][ROOT=kaz][SENSE=POS][CONV=NOUN=MA][TYPE=INFINITIVE][STEM=X][AGR=3SG]]",
+             "STEM"),
+        ],
+    )
+    def test_parse_setting_form_or_stem_fails(self, runner, tmp_path, parse, key):
+        analyzer = tmp_path / "analyzer.tsv"
+        shutil.copy(bundled_path("analyzer.tsv"), analyzer)
+        lineno = len(analyzer.read_text(encoding="utf-8").splitlines()) + 1
+        with analyzer.open("a", encoding="utf-8") as handle:
+            handle.write(f"kazma\t{parse}\n")
+        result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
+        assert result.exit_code == 1
+        assert f"{analyzer}:{lineno}: {key} is set by the lexicon, not the analyzer" in result.output
 
     def test_every_bad_file_is_listed_in_order(self, runner, tmp_path):
         rootmap = tmp_path / "rootmap.tsv"

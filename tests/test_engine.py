@@ -22,7 +22,6 @@ from turklex.engine import (
     transform,
 )
 from turklex.featstruct import (
-    ABSENT,
     DerivedConcept,
     FeatStruct,
     FSSet,
@@ -33,8 +32,10 @@ from turklex.featstruct import (
     render_fs,
     subsumes,
 )
-from turklex.fsdb import dumps
+from turklex.fsdb import clause_line, dumps
 from turklex.morph import AnalyzerTable, parse_parse_string
+
+from .test_featstruct import holds_none
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
 ATTR = Cat5.from_text("verb,attributive,none,none,none")
@@ -46,6 +47,7 @@ def q(text):
 
 def tlevel(cat, inflections=(), suffix=None):
     return TransformedLevel(cat, tuple(inflections), suffix)
+
 
 
 class TestTransform:
@@ -134,7 +136,7 @@ class TestEarlyFilter:
         partial = partial_outer_fs(tp, "atIm")
         # the outermost level is approximated, not the lexical one
         assert get_path(partial, "morph|derv_suffix") == "none"
-        assert get_path(partial, "morph|stem") is ABSENT
+        assert get_path(partial, "morph|stem") is None
         assert get_path(partial, "morph|tam2") == "pres"
 
     def test_no_restriction_keeps_everything(self):
@@ -486,3 +488,15 @@ def test_random_restrictions_sound_and_consistent(engine, surface, restrict_morp
         assert fs_equal(a, b)
     for fs in early:
         assert subsumes(query_fs, fs)
+
+
+def test_nothing_built_holds_none(engine):
+    """``None`` means "no value", so no clause, result or partial structure
+    may hold it."""
+    for clause in engine.db.clauses:
+        assert not holds_none(clause.fs), clause_line(clause)
+    for surface in engine.analyzer.surfaces():
+        trace = engine.run(FeatStruct([("phon", surface)]))
+        partials = [partial_outer_fs(tp, surface) for tp in trace.transformed]
+        for fs in trace.results + trace.eliminated + partials:
+            assert not holds_none(fs), (surface, fs)

@@ -159,6 +159,35 @@ class TestLoad:
         with pytest.raises(DatabaseFormatError, match=r":1: .* sem\|concept 'dig' is not a concept"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "clause, block",
+        [
+            ("entry verb,predicative,none,none,none kaz := [cat:[maj:verb, min:predicative, "
+             "sub:none, ssub:none, sssub:none], morph:[stem:kaz, form:lexical], sem:foo]", "sem"),
+            ("entry verb,predicative,none,none,none kaz := [cat:[maj:verb, min:predicative, "
+             "sub:none, ssub:none, sssub:none], morph:[stem:kaz, form:lexical], syn:foo, "
+             "sem:[concept:kaz-(dig)]]", "syn"),
+            ("entry nominal,noun,common,none,none at := [cat:[maj:nominal, min:noun, "
+             "sub:common, ssub:none, sssub:none], morph:[stem:at, form:lexical], "
+             "syn:<[a:b]>, sem:[concept:at-(horse)]]", "syn"),
+            ("template nominal,sentential,act,infinitive,ma := [cat:[maj:nominal, "
+             "min:sentential, sub:act, ssub:infinitive, sssub:ma], morph:foo]", "morph"),
+            ("template nominal,sentential,act,infinitive,ma := [cat:[maj:nominal, "
+             "min:sentential, sub:act, ssub:infinitive, sssub:ma], syn:foo]", "syn"),
+            ("template nominal,sentential,act,infinitive,ma := [cat:[maj:nominal, "
+             "min:sentential, sub:act, ssub:infinitive, sssub:ma], sem:{a, b}]", "sem"),
+        ],
+        ids=["entry-sem", "entry-syn", "entry-syn-seq", "template-morph", "template-syn",
+             "template-sem"],
+    )
+    def test_block_that_is_not_a_structure_reported_with_line(self, tmp_path, clause, block):
+        path = tmp_path / "bad.fdb"
+        path.write_text(f"# comment\n{clause}\n", encoding="utf-8")
+        with pytest.raises(
+            DatabaseFormatError, match=rf":2: .*: {block} block is missing or not a structure$"
+        ):
+            load(path)
+
     def test_equal_atoms_and_names_are_one_object(self, seed_db):
         (kaz,) = lookup(seed_db, PRED, "kaz")
         (var,) = lookup(seed_db, Cat5.from_text("verb,existential"), "var")

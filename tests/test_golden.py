@@ -51,18 +51,23 @@ SHAPES = [
 
 # the ``-mA`` infinitive's template line, left out of a copy of the database
 NO_TEMPLATE = "template nominal,sentential,act,infinitive,ma "
-# a parse whose lexical level carries form:derived, against form:lexical in
-# every sense of ``at``
-CONFLICTING_PARSE = "atX\t[[CAT=NOUN][ROOT=at][FORM=DERIVED]]\n"
+# in that copy, the one sense of ``at`` fixes agr:3sg ...
+AT_MORPH = ("entry nominal,noun,common,none,none at := ",
+            "morph:[stem:at, form:lexical]", "morph:[stem:at, form:lexical, agr:3sg]")
+# ... and this parse's lexical level carries agr:1sg against it
+CONFLICTING_PARSE = "atX\t[[CAT=NOUN][ROOT=at][AGR=1SG]]\n"
 
 
 def sense_dropped_traces(work: Path) -> bytes:
-    """The CLI's full traces, in both layouts, of ``kazma`` over a database
-    without :data:`NO_TEMPLATE` and of ``atX`` over :data:`CONFLICTING_PARSE`.
-    Data files are written into ``work``."""
+    """The CLI's full traces, in both layouts, of ``kazma`` and of ``atX``
+    (over :data:`CONFLICTING_PARSE`) over a database without
+    :data:`NO_TEMPLATE` and with :data:`AT_MORPH`.  Data files are written
+    into ``work``."""
     db = work / "lexicon.fdb"
+    head, old, new = AT_MORPH
     with open(bundled_path("lexicon.fdb"), encoding="utf-8") as handle:
-        kept = [line for line in handle if not line.startswith(NO_TEMPLATE)]
+        kept = [line.replace(old, new) if line.startswith(head) else line
+                for line in handle if not line.startswith(NO_TEMPLATE)]
     db.write_text("".join(kept), encoding="utf-8")
     analyzer = work / "analyzer.tsv"
     analyzer.write_text(CONFLICTING_PARSE, encoding="utf-8")
@@ -71,7 +76,7 @@ def sense_dropped_traces(work: Path) -> bytes:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     blocks = []
     for options, query in [(["--db", str(db)], "[phon:kazma]"),
-                           (["--analyzer", str(analyzer)], "[phon:atX]")]:
+                           (["--db", str(db), "--analyzer", str(analyzer)], "[phon:atX]")]:
         for style in ("compact", "indented"):
             result = subprocess.run(
                 [sys.executable, "-m", "turklex.cli", *options,

@@ -228,6 +228,25 @@ class TestAnalyzerTable:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AnalyzerTable.load(bad)
 
+    @pytest.mark.parametrize(
+        "parse, key",
+        [
+            # lexical level: the pair clashes with every sense's form or stem
+            ("[[CAT=NOUN][ROOT=at][FORM=DERIVED]]", "FORM"),
+            ("[[CAT=NOUN][ROOT=at][STEM=X][AGR=3SG]]", "STEM"),
+            # derived level: the pair would overwrite form:derived or the stem
+            ("[[CAT=VERB][ROOT=kaz][CONV=NOUN=MA][FORM=LEXICAL]]", "FORM"),
+            ("[[CAT=VERB][ROOT=kaz][SENSE=POS][CONV=NOUN=MA][TYPE=INFINITIVE][STEM=X][AGR=3SG]]",
+             "STEM"),
+        ],
+    )
+    def test_load_rejects_form_or_stem(self, tmp_path, parse, key):
+        bad = tmp_path / "table.tsv"
+        bad.write_text(f"at\t{ATIM_NOMINAL}\natIm\t{parse}\n", encoding="utf-8")
+        message = f"{bad}:2: {key} is set by the lexicon, not the analyzer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnalyzerTable.load(bad)
+
     def test_unknown_value_warns_at_load_not_per_query(self, tmp_path, caplog, engine):
         path = tmp_path / "table.tsv"
         path.write_text("attan\t[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=NONE][CASE=ABL]]\n",
