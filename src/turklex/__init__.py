@@ -18,6 +18,7 @@ from .featstruct import (
     FSSyntaxError,
     Neg,
     Seq,
+    copy_fs,
     fs_equal,
     get_path,
     parse_fs_text,
@@ -41,6 +42,7 @@ __all__ = [
     "QueryError",
     "QueryTrace",
     "Seq",
+    "copy_fs",
     "fs_equal",
     "get_path",
     "parse_fs_text",

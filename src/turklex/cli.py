@@ -9,7 +9,8 @@ One binary, three subcommands::
 Data file locations come from flags, from TURKLEX_* environment variables,
 or fall back to the bundled sample data.  Exit codes: 0 success (a query
 with zero results is still a success), 1 unreadable, invalid or unwritable
-data file, 2 bad input (unparsable query/entry, missing phon, unknown sense).
+data file, 2 bad input (unparsable query/entry, missing phon, unknown sense,
+a category not in the inventory).
 """
 
 from __future__ import annotations
@@ -235,6 +236,12 @@ def db_add(config: Config, category, root, fs):
         entry_fs = parse_fs_text(text)
     except (ValueError, FSSyntaxError) as exc:
         _fail(str(exc), 2)
+    try:
+        inventory = load_inventory(config.categories)
+    except (OSError, ValueError) as exc:
+        _fail(str(exc), 1)
+    if cat not in inventory:
+        _fail(f"entry category {cat.render()} not in inventory", 2)
     database = _load_database(config)
     entry = LexiconEntry(cat, root, entry_fs)
     try:

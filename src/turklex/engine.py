@@ -11,8 +11,13 @@ four phases:
    against a cheap partial structure of each parse's outermost level,
    eliminating parses before any database access,
 4. retrieval: every sense of the root is fetched, inflections are unified
-   in, derived levels are folded around the stem using the category's
-   template, and the full query finally filters the results.
+   into a copy of its ``morph`` block, derived levels are folded around the
+   stem using the category's template, and the full query finally filters
+   the results.
+
+Results share the database's unchanged nodes, so they are read-only; a
+caller who wants to change one mutates ``copy_fs(result)``.  The engine
+itself writes only to nodes it has just built.
 
 Each phase fills its own lists of a :class:`QueryTrace`: phase 1
 ``parses``; phase 2 ``mappings`` (one per level tried) and
@@ -32,11 +37,12 @@ from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .featstruct import (
     DerivedConcept,
     FeatStruct,
+    node_counts,
     project,
     subsumes,
     unify,
 )
-from .fsdb import Database, load as load_db, lookup, lookup_template
+from .fsdb import Database, LexiconEntry, load as load_db, lookup, lookup_template
 from .morph import AnalyzerTable
 
 
@@ -222,15 +228,19 @@ def _take_over(block: FeatStruct, name: str, stem_block, template_block) -> Feat
 
 
 def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace) -> list:
-    """Annotated structures for every sense of a transformed parse."""
+    """Annotated structures for every sense of a transformed parse.
+
+    The results share the database's nodes and are read-only: ``copy_fs``
+    gives a private copy.  See :func:`inflect` for what is new in each.
+    """
     lexical = tp.levels[0]
     senses = lookup(db, lexical.cat, tp.root)
     trace.events.append(FsdbAccess(lexical.cat, tp.root, len(senses)))
 
-    inflections = FeatStruct([("morph", FeatStruct(lexical.inflections))])
+    inflections = FeatStruct(lexical.inflections)
     results = []
     for entry in senses:
-        fs = unify(entry.fs, inflections)  # the sense's one copy
+        fs = inflect(entry, inflections)
         if fs is None:
             trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
             continue
@@ -243,6 +253,35 @@ def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace
         fs["phon"] = surface
         results.append(fs)
     return results
+
+
+def inflect(entry: LexiconEntry, inflections: FeatStruct) -> Optional[FeatStruct]:
+    """The sense with ``inflections`` unified into its ``morph`` block, or
+    None if they clash.
+
+    Only the path to the change is copied: the result is a new root whose
+    ``morph`` is the unification (a new block), and whose other features
+    (``cat``, ``syn``, ``sem`` and every node below them) are the sense's
+    own nodes.  That keeps the sense's co-indexing unless the ``morph``
+    block or a node inside it is also reached from elsewhere in the sense
+    (``morph:@1=[...], syn:[same:@1]``); such a sense is unified whole, so
+    its copy keeps the tag and every reference sees the inflections.  Which
+    case holds is worked out on the sense's first retrieval and stored on
+    the entry (``morph_coindexed``).
+    """
+    if entry.morph_coindexed is None:
+        whole = node_counts(entry.fs)
+        entry.morph_coindexed = any(
+            whole[i] != n for i, n in node_counts(entry.fs["morph"]).items()
+        )
+    if entry.morph_coindexed:
+        return unify(entry.fs, FeatStruct([("morph", inflections)]))
+    morph = unify(entry.fs["morph"], inflections)
+    if morph is None:
+        return None
+    fs = FeatStruct(entry.fs)
+    fs["morph"] = morph
+    return fs
 
 
 def final_filter(results, query_fs: FeatStruct) -> list:

@@ -421,6 +421,15 @@ def _walk_nodes(value, counts):
             _walk_nodes(v, counts)
 
 
+def node_counts(value) -> dict:
+    """The number of references to each node of ``value``, by ``id``;
+    ``value`` itself counts one.  A node counted more than once is
+    co-indexed."""
+    counts: dict[int, int] = {}
+    _walk_nodes(value, counts)
+    return counts
+
+
 def _quote(atom: str) -> str:
     """``atom`` as the parser reads it back: bare, or quoted if it holds a
     character outside ``[A-Za-z0-9_.+/-]`` or is empty."""
@@ -429,9 +438,7 @@ def _quote(atom: str) -> str:
 
 class _Renderer:
     def __init__(self, root):
-        counts: dict[int, int] = {}
-        _walk_nodes(root, counts)
-        self.shared = {i for i, n in counts.items() if n > 1}
+        self.shared = {i for i, n in node_counts(root).items() if n > 1}
         self.assigned: dict[int, int] = {}
         self.next_tag = 1
 

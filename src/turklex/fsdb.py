@@ -14,7 +14,9 @@ gradability and the like) before validating the entry invariants.
 A clause is never mutated once it is in a :class:`Database`: ``add_entry``
 fills the defaults before it appends, ``lookup_template`` returns a copy,
 and ``lookup`` and ``browse`` return the clauses themselves, which their
-callers only read (the engine's ``retrieve`` copies each sense).  So
+callers only read.  The engine's ``retrieve`` copies a sense only along
+the path to its change, the root and the ``morph`` block, and its results
+share the sense's other nodes, so results are read-only too.  So
 ``dumps`` renders each clause's canonical line once, the first time it
 saves that clause, and keeps it on the clause (``line``); a later save
 renders only the clauses added since and joins the stored lines.  ``load``
@@ -28,9 +30,10 @@ clause that repeats a complement constraint set such as
 same object; a clause holds a shared set once at most, since a node reached
 twice within a clause reads as co-indexing.  It also makes one
 :class:`~turklex.catmap.Cat5` per distinct category text.  Nothing mutates a
-shared set: the engine unifies copies, ``lookup_template`` and ``retrieve``
-copy, and ``fill_entry_defaults`` changes only the clause's own root,
-``syn`` and ``sem`` structures.
+shared set: the engine unifies copies, ``lookup_template`` copies,
+``retrieve`` hands a sense's sets on in read-only results, and
+``fill_entry_defaults`` changes only the clause's own root, ``syn`` and
+``sem`` structures.
 
 A clause whose canonical line would hold a line break cannot be saved in
 this line-based format: ``clause_line`` raises :class:`InvariantError`, so
@@ -68,12 +71,20 @@ class InvariantError(ValueError):
 
 @dataclass
 class LexiconEntry:
-    """One sense of a root word."""
+    """One sense of a root word.
+
+    Two answers are stored on the entry the first time they are needed,
+    and are None before: ``line``, the clause's canonical line (see
+    :func:`clause_line`), and ``morph_coindexed``, whether the sense's
+    ``morph`` block or a node inside it is also reached from elsewhere in
+    the sense (see :func:`turklex.engine.inflect`).
+    """
 
     cat: Cat5
     root: str
     fs: FeatStruct
     line: Optional[str] = field(default=None, compare=False, repr=False)
+    morph_coindexed: Optional[bool] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -250,6 +250,19 @@ class TestDbAddDelete:
         assert f"{new.partition(':')[0]} block is missing or not a structure" in result.output
         assert tmp_db.read_bytes() == before
 
+    def test_add_category_not_in_inventory_exits_2_and_keeps_the_file(self, runner, tmp_db):
+        before = tmp_db.read_bytes()
+        bogus = "nominal,noun,bogus,none,none"
+        result = runner.invoke(
+            main,
+            ["--db", str(tmp_db), "db", "add", bogus, "yol",
+             NEW_ENTRY.replace("sub:common", "sub:bogus")],
+        )
+        assert result.exit_code == 2
+        assert f"entry category {bogus} not in inventory" in result.output
+        assert tmp_db.read_bytes() == before
+        assert runner.invoke(main, ["--db", str(tmp_db), "check"]).exit_code == 0
+
     def test_add_bad_fs_exits_2(self, runner, tmp_db):
         result = runner.invoke(
             main, ["--db", str(tmp_db), "db", "add", "nominal,noun,common,none,none", "yol", "[oops"]

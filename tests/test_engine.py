@@ -1,12 +1,17 @@
 """Tests for the four-phase query engine."""
 
 import dataclasses
+import importlib.util
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from turklex._data import bundled_path
 from turklex.catmap import Cat5
 from turklex.engine import (
+    LexiconEngine,
     DropRecord,
     FsdbAccess,
     QueryError,
@@ -24,15 +29,16 @@ from turklex.engine import (
 from turklex.featstruct import (
     DerivedConcept,
     FeatStruct,
-    FSSet,
     Seq,
+    copy_fs,
     fs_equal,
     get_path,
+    node_counts,
     parse_fs_text,
     render_fs,
     subsumes,
 )
-from turklex.fsdb import clause_line, dumps
+from turklex.fsdb import clause_line, dumps, lookup
 from turklex.morph import AnalyzerTable, parse_parse_string
 
 from .test_featstruct import holds_none
@@ -171,7 +177,6 @@ class TestEarlyFilter:
 
 class TestBuildDerived:
     def stem(self, engine):
-        from turklex.fsdb import lookup
         import copy
 
         (entry,) = lookup(engine.db, COMMON, "at")
@@ -209,7 +214,6 @@ class TestBuildDerived:
         assert fs["phon"] == "none"
 
     def test_subcat_shared_when_structured(self, engine):
-        from turklex.fsdb import lookup
         import copy
 
         (kaz,) = lookup(engine.db, Cat5.from_text("verb,predicative"), "kaz")
@@ -274,45 +278,17 @@ class TestRetrieve:
         access, drop = trace.events
         assert isinstance(drop, DropRecord)
 
-    def test_results_do_not_alias_database(self, engine):
-        tp = TransformedParse("at", [tlevel(COMMON)])
-        (fs,) = retrieve(tp, engine.db, "at", QueryTrace(surface="at"))
-        fs["sem"]["animate"] = "-"
-        (fresh,) = retrieve(tp, engine.db, "at", QueryTrace(surface="at"))
-        assert fresh["sem"]["animate"] == "+"
-
-
-    def test_results_alias_no_entry_template_or_other_result(self):
-        from turklex.engine import LexiconEngine
-
-        engine = LexiconEngine.from_bundled_data()  # mutated below if aliased
-        queries = [q(f"[phon:{surface}]") for surface in ("kazma", "atIm", "akIllIca")]
-        db_text = dumps(engine.db)
-        expected = [[render_fs(fs) for fs in engine.query(query)] for query in queries]
-        assert all(expected)
-
-        nodes, seen = [], set()
-        stack = [fs for query in queries for fs in engine.query(query)]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (FeatStruct, Seq, FSSet)) and id(node) not in seen:
-                seen.add(id(node))
-                nodes.append(node)
-                stack.extend(node.values() if isinstance(node, FeatStruct) else node)
-        for node in nodes:
-            if isinstance(node, FeatStruct):
-                for name in list(node.keys()):
-                    node[name] = "mutated"
-                node["extra"] = "mutated"
-            else:
-                node[:] = ["mutated"]
-
-        for query, texts in zip(queries, expected):
-            again = engine.query(query)
-            assert [render_fs(fs) for fs in again] == texts
-            for fs, text in zip(again, texts):
-                assert fs_equal(fs, parse_fs_text(text))
-        assert dumps(engine.db) == db_text
+    def test_result_shares_the_senses_unchanged_nodes(self, engine):
+        (entry,) = lookup(engine.db, COMMON, "at")
+        tp = TransformedParse("at", [tlevel(COMMON, [("poss", "1sg")])])
+        (fs,) = retrieve(tp, engine.db, "atIm", QueryTrace(surface="atIm"))
+        # only the root and the morph block, on the path to the change, are new
+        assert fs is not entry.fs and fs["morph"] is not entry.fs["morph"]
+        for name in ("cat", "syn", "sem"):
+            assert fs[name] is entry.fs[name]
+        assert fs["morph"] == q("[stem:at, form:lexical, poss:'1sg']")
+        assert entry.fs["morph"] == q("[stem:at, form:lexical]")
+        assert entry.fs["phon"] == "at"
 
 
 class TestFinalFilter:
@@ -500,3 +476,105 @@ def test_nothing_built_holds_none(engine):
         partials = [partial_outer_fs(tp, surface) for tp in trace.transformed]
         for fs in trace.results + trace.eliminated + partials:
             assert not holds_none(fs), (surface, fs)
+
+
+# --------------------------------------------------------------------------
+# results share the database's nodes, and no query writes to them
+
+DATA_FILES = ("analyzer.tsv", "rootmap.tsv", "derivmap.tsv", "lexicon.fdb", "categories.tsv")
+SYNTH = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
+
+# the bundled sense of "at", with its morph block co-indexed under syn
+COINDEXED_AT = (
+    "entry nominal,noun,common,none,none at := "
+    "[cat:[maj:nominal, min:noun, sub:common, ssub:none, sssub:none], "
+    "morph:@1=[stem:at, form:lexical], syn:[subcat:none, same:@1], "
+    "sem:[concept:at-(horse), countable:+, animate:+], phon:at]"
+)
+
+
+def _engine_in(directory: Path) -> LexiconEngine:
+    *paths, inventory = (directory / name for name in DATA_FILES)
+    return LexiconEngine.from_paths(*paths, inventory_path=inventory)
+
+
+def _coindexed_engine(directory: Path) -> LexiconEngine:
+    """The bundled data, with the sense of "at" replaced by COINDEXED_AT."""
+    for name in DATA_FILES:
+        shutil.copy(bundled_path(name), directory / name)
+    db = directory / "lexicon.fdb"
+    lines = db.read_text(encoding="utf-8").splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(COINDEXED_AT.split(":=")[0])]
+    lines[i] = COINDEXED_AT
+    db.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return _engine_in(directory)
+
+
+def _synthetic_engine(directory: Path) -> LexiconEngine:
+    """A 200-root lexicon written by ``perfbench/synth.py``."""
+    spec = importlib.util.spec_from_file_location("synth", SYNTH)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    synth.generate(directory, seed=1, roots=200)
+    return _engine_in(directory)
+
+
+ENGINES = {
+    "bundled": lambda directory: LexiconEngine.from_bundled_data(),
+    "synthetic": _synthetic_engine,
+    "coindexed": _coindexed_engine,
+}
+
+
+def _built_ids(fs) -> set:
+    """The ids of the nodes the engine builds for a result: the root and the
+    morph block of every level, and the cat, syn and sem of a derived one."""
+    built = set()
+    while True:
+        built |= {id(fs), id(fs["morph"])}
+        if fs["morph"]["form"] != "derived":
+            return built
+        built |= {id(fs["cat"]), id(fs["syn"]), id(fs["sem"])}
+        fs = fs["morph"]["stem"]
+
+
+@pytest.mark.parametrize("lexicon", sorted(ENGINES))
+def test_no_query_mutates_the_database(lexicon, tmp_path):
+    engine = ENGINES[lexicon](tmp_path)
+    db = engine.db
+    text = dumps(db)
+    snapshot = [copy_fs(clause.fs) for clause in db.clauses]
+    database = set().union(*(node_counts(clause.fs) for clause in db.clauses))
+
+    for surface in sorted(set(engine.analyzer.surfaces())):
+        for early in (True, False):
+            results = engine.query(q(f"[phon:{surface}]"), use_early_filter=early)
+            built = [_built_ids(fs) for fs in results]
+            reached = [node_counts(fs).keys() for fs in results]
+            for i, own in enumerate(built):
+                assert own.isdisjoint(database), surface
+                for j, other in enumerate(reached):
+                    assert i == j or own.isdisjoint(other), surface
+
+    for clause in db.clauses:
+        clause.line = None  # so dumps renders every clause again
+    assert dumps(db) == text
+    for clause, before in zip(db.clauses, snapshot):
+        assert fs_equal(clause.fs, before), clause_line(clause)
+
+
+def test_coindexed_morph_keeps_its_tag_and_the_inflections(tmp_path):
+    """A sense whose morph block is also reached from syn is unified whole:
+    a copy of the root and the morph block alone would leave syn|same
+    pointing at the database's block, without the inflections or the tag."""
+    engine = _coindexed_engine(tmp_path)
+    (entry,) = lookup(engine.db, COMMON, "at")
+    expected = (
+        "morph:@1=[stem:at, form:lexical, agr:3sg, poss:1sg, case:nom], "
+        "syn:[subcat:none, same:@1]"
+    )
+    for early in (True, False):
+        for _ in range(2):  # the second retrieval reads the stored answer
+            noun, _verb = engine.query(q("[phon:atIm]"), use_early_filter=early)
+            assert expected in render_fs(noun)
+            assert entry.morph_coindexed is True
