@@ -15,9 +15,10 @@ four phases:
    stem using the category's template, and the full query finally filters
    the results.
 
-Results share the database's unchanged nodes, so they are read-only; a
-caller who wants to change one mutates ``copy_fs(result)``.  The engine
-itself writes only to nodes it has just built.
+Results share the database's unchanged nodes, the sense's and the
+template's, so they are read-only; a caller who wants to change one
+mutates ``copy_fs(result)``.  The engine itself writes only to nodes it
+has just built.
 
 Each phase fills its own lists of a :class:`QueryTrace`: phase 1
 ``parses``; phase 2 ``mappings`` (one per level tried) and
@@ -37,6 +38,7 @@ from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .featstruct import (
     DerivedConcept,
     FeatStruct,
+    copy_fs,
     node_counts,
     project,
     subsumes,
@@ -172,7 +174,7 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> 
 # phase 4: retrieval
 
 def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
-                  trace: QueryTrace) -> Optional[FeatStruct]:
+                  trace: QueryTrace, copy_template: bool = False) -> Optional[FeatStruct]:
     """Wrap ``stem_fs`` into a derived structure for one derivation level.
 
     The category's template supplies the skeleton: template morph features
@@ -180,12 +182,21 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
     defaults, subcategorisation and thematic roles are taken over from the
     stem (sharing the stem's objects, so co-indexing survives), and the
     concept is wrapped by the derivational suffix.
+
+    The result's root and its ``morph``, ``syn`` and ``sem`` blocks are
+    new; its ``cat`` and the values it takes from the template are the
+    template's own nodes.  A chain that derives one category twice would
+    reach those nodes from two levels, which reads as co-indexing, so
+    ``retrieve`` passes ``copy_template`` for the later level and it reads
+    a copy of the template instead.
     """
     trace.events.append(TfsdbAccess(level.cat))
     template = lookup_template(db, level.cat)
     if template is None:
         trace.events.append(DropRecord(f"no template for {level.cat.render()}"))
         return None
+    if copy_template:
+        template = copy_fs(template)
 
     stem_fs["phon"] = "none"  # only the outermost level keeps the surface form
 
@@ -231,7 +242,8 @@ def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace
     """Annotated structures for every sense of a transformed parse.
 
     The results share the database's nodes and are read-only: ``copy_fs``
-    gives a private copy.  See :func:`inflect` for what is new in each.
+    gives a private copy.  See :func:`inflect` and :func:`build_derived`
+    for what is new in each.
     """
     lexical = tp.levels[0]
     senses = lookup(db, lexical.cat, tp.root)
@@ -244,10 +256,12 @@ def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace
         if fs is None:
             trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
             continue
+        used = set()  # the categories whose template this chain holds
         for level in tp.levels[1:]:
-            fs = build_derived(level, fs, db, trace)
+            fs = build_derived(level, fs, db, trace, copy_template=level.cat in used)
             if fs is None:
                 break
+            used.add(level.cat)
         if fs is None:
             continue
         fs["phon"] = surface

@@ -12,28 +12,32 @@ class-wide defaults (subcategorisation, the common-noun semantic flags,
 gradability and the like) before validating the entry invariants.
 
 A clause is never mutated once it is in a :class:`Database`: ``add_entry``
-fills the defaults before it appends, ``lookup_template`` returns a copy,
-and ``lookup`` and ``browse`` return the clauses themselves, which their
-callers only read.  The engine's ``retrieve`` copies a sense only along
-the path to its change, the root and the ``morph`` block, and its results
-share the sense's other nodes, so results are read-only too.  So
-``dumps`` renders each clause's canonical line once, the first time it
-saves that clause, and keeps it on the clause (``line``); a later save
-renders only the clauses added since and joins the stored lines.  ``load``
-renders nothing.
+fills the defaults before it appends, and ``lookup``, ``lookup_template``
+and ``browse`` return the clauses' own structures, which their callers
+only read.  The engine's ``retrieve`` copies a sense only along the path
+to its change, the root and the ``morph`` block, and ``build_derived``
+builds a derived level's root and blocks but puts the template's ``cat``,
+``morph`` defaults and ``syn``/``sem`` values into it as they are, so
+results share the sense's and the template's other nodes and are
+read-only too.  So ``dumps`` renders each clause's canonical line once,
+the first time it saves that clause, and keeps it on the clause
+(``line``); a later save renders only the clauses added since and joins
+the stored lines.  ``load`` renders nothing.
 
-The same contract lets one ``load`` share values between clauses.  It
+The same contract lets one ``load`` share values between entries.  It
 parses each distinct text of a set with no tag, quoted atom or concept
 inside it once (see :func:`~turklex.featstruct.parse_fs_text`), so every
-clause that repeats a complement constraint set such as
+entry that repeats a complement constraint set such as
 ``{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}`` holds the
 same object; a clause holds a shared set once at most, since a node reached
-twice within a clause reads as co-indexing.  It also makes one
-:class:`~turklex.catmap.Cat5` per distinct category text.  Nothing mutates a
-shared set: the engine unifies copies, ``lookup_template`` copies,
-``retrieve`` hands a sense's sets on in read-only results, and
-``fill_entry_defaults`` changes only the clause's own root, ``syn`` and
-``sem`` structures.
+twice within a clause reads as co-indexing.  Template clauses are parsed
+alone and share no node with any other clause: a derived result holds a
+sense and a template side by side, and a set the two shared would be
+reached twice in it and render as co-indexed.  The load also makes one
+:class:`~turklex.catmap.Cat5` per distinct category text.  Nothing mutates
+a shared set: the engine unifies copies, ``retrieve`` hands a sense's sets
+on in read-only results, and ``fill_entry_defaults`` changes only the
+clause's own root, ``syn`` and ``sem`` structures.
 
 A clause whose canonical line would hold a line break cannot be saved in
 this line-based format: ``clause_line`` raises :class:`InvariantError`, so
@@ -55,7 +59,6 @@ from .featstruct import (
     Concept,
     FeatStruct,
     FSSyntaxError,
-    copy_fs,
     parse_fs_text,
     render_fs,
 )
@@ -226,11 +229,10 @@ def lookup(db: Database, cat: Cat5, root: str) -> List[LexiconEntry]:
 
 
 def lookup_template(db: Database, cat: Cat5) -> Optional[FeatStruct]:
-    """A fresh copy of the template for ``cat``, or None."""
+    """The template clause's own structure for ``cat``, or None.  The
+    caller only reads it; ``copy_fs`` gives a private copy."""
     template = db.templates.get(cat)
-    if template is None:
-        return None
-    return copy_fs(template.fs)
+    return None if template is None else template.fs
 
 
 def add_entry(db: Database, entry: LexiconEntry) -> None:
@@ -304,7 +306,7 @@ def load(path) -> Database:
 def _load(path) -> Database:
     db = Database()
     cats: Dict[str, Cat5] = {}  # one Cat5 per distinct category text
-    sets: dict = {}  # one value per distinct plain set text
+    sets: dict = {}  # one value per distinct plain set text of the entries
 
     def fail(message: str) -> DatabaseFormatError:
         return DatabaseFormatError(f"{path}:{lineno}: {message}")
@@ -321,12 +323,14 @@ def _load(path) -> Database:
                     raise fail("malformed entry clause")
                 cat_text, root, fs_text = match.groups()
                 root = sys.intern(root)
+                shared = sets
             elif line.startswith("template"):
                 match = _TEMPLATE_RE.match(line)
                 if match is None:
                     raise fail("malformed template clause")
                 cat_text, fs_text = match.groups()
                 root = None
+                shared = None  # a template shares no node with another clause
             else:
                 raise fail(f"expected 'entry' or 'template', got {line.split()[0]!r}")
 
@@ -337,7 +341,7 @@ def _load(path) -> Database:
                 except ValueError as exc:
                     raise fail(str(exc)) from exc
             try:
-                fs = parse_fs_text(fs_text, sets)
+                fs = parse_fs_text(fs_text, shared)
             except FSSyntaxError as exc:
                 raise fail(f"bad feature structure: {exc}") from exc
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+from collections import Counter
 import shutil
 from pathlib import Path
 
@@ -290,6 +291,21 @@ class TestRetrieve:
         assert entry.fs["morph"] == q("[stem:at, form:lexical]")
         assert entry.fs["phon"] == "at"
 
+    def test_derived_levels_share_the_templates_nodes(self, engine):
+        adj = Cat5.from_text("adjectival,adjective,qualitative")
+        template = engine.db.templates[adj].fs
+        tp = TransformedParse("akIl", [tlevel(COMMON), tlevel(adj, suffix="lI"),
+                                       tlevel(adj, suffix="lIk")])
+        (outer,) = retrieve(tp, engine.db, "akIllIlIk", QueryTrace(surface="akIllIlIk"))
+        inner = outer["morph"]["stem"]
+        # the first adjectival level reads the template in place ...
+        assert inner["cat"] is template["cat"]
+        assert inner["syn"]["modifies"] is template["syn"]["modifies"]
+        # ... and the second, deriving the same category again, a copy
+        assert outer["cat"] == template["cat"] and outer["cat"] is not template["cat"]
+        assert outer["syn"]["modifies"] is not template["syn"]["modifies"]
+        assert "@" not in render_fs(outer)
+
 
 class TestFinalFilter:
     def test_full_query_subsumption(self, engine):
@@ -528,14 +544,26 @@ ENGINES = {
 
 def _built_ids(fs) -> set:
     """The ids of the nodes the engine builds for a result: the root and the
-    morph block of every level, and the cat, syn and sem of a derived one."""
+    morph block of every level, and the syn and sem of a derived one (whose
+    cat is the template's)."""
     built = set()
     while True:
         built |= {id(fs), id(fs["morph"])}
         if fs["morph"]["form"] != "derived":
             return built
-        built |= {id(fs["cat"]), id(fs["syn"]), id(fs["sem"])}
+        built |= {id(fs["syn"]), id(fs["sem"])}
         fs = fs["morph"]["stem"]
+
+
+@pytest.mark.parametrize("lexicon", sorted(ENGINES))
+def test_templates_share_no_node_with_another_clause(lexicon, tmp_path):
+    """A derived result holds a sense and templates side by side, so a node
+    two clauses shared would be reached twice in it and read as co-indexing."""
+    db = ENGINES[lexicon](tmp_path).db
+    owners = Counter(i for clause in db.clauses for i in node_counts(clause.fs))
+    assert db.templates
+    for template in db.templates.values():
+        assert all(owners[i] == 1 for i in node_counts(template.fs)), clause_line(template)
 
 
 @pytest.mark.parametrize("lexicon", sorted(ENGINES))

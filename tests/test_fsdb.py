@@ -232,12 +232,14 @@ class TestLoad:
 CONSTRAINTS = "{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}"
 
 
-def template_lines(*bodies):
-    """Canonical template clauses, one per body, under categories a, b, ..."""
+def entry_lines(*bodies):
+    """Canonical entry clauses, one per body, of the roots a, b, ... under a
+    category whose only default is ``syn|subcat``."""
     return [
-        f"template {maj},none,none,none,none := [cat:[maj:{maj}, min:none, sub:none, "
-        f"ssub:none, sssub:none], {body}]"
-        for maj, body in zip("abcdefgh", bodies)
+        f"entry verb,predicative,none,none,none {root} := [cat:[maj:verb, "
+        f"min:predicative, sub:none, ssub:none, sssub:none], morph:[stem:{root}, "
+        f"form:lexical], syn:[subcat:none], sem:[concept:{root}-(gloss)], {body}]"
+        for root, body in zip("abcdefgh", bodies)
     ]
 
 
@@ -276,8 +278,8 @@ class TestSharedSets:
             assert ours == theirs
 
     def test_equal_sets_in_two_clauses_are_one_object(self, tmp_path):
-        lines = template_lines(f"x:{CONSTRAINTS}, m:{{acc, nom}}",
-                               f"y:[x:{CONSTRAINTS}], m:{{acc, nom}}")
+        lines = entry_lines(f"x:{CONSTRAINTS}, m:{{acc, nom}}",
+                            f"y:[x:{CONSTRAINTS}], m:{{acc, nom}}")
         text = "\n".join([fsdb._HEADER, *lines]) + "\n"
         path = tmp_path / "db.fdb"
         path.write_text(text, encoding="utf-8")
@@ -287,8 +289,8 @@ class TestSharedSets:
         assert dumps(db) == text
 
     def test_equal_sets_in_one_clause_stay_two_objects(self, tmp_path):
-        lines = template_lines(f"x:{CONSTRAINTS}",
-                               f"x:{CONSTRAINTS}, y:[z:{CONSTRAINTS}]")
+        lines = entry_lines(f"x:{CONSTRAINTS}",
+                            f"x:{CONSTRAINTS}, y:[z:{CONSTRAINTS}]")
         path = tmp_path / "db.fdb"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         db = load(path)
@@ -301,7 +303,7 @@ class TestSharedSets:
         "text", ["{[a:@1=[b:c], d:@1]}", "{[a:'b c']}", "{[a:x-(y)]}"]
     )
     def test_set_holding_a_tag_quote_or_concept_is_not_shared(self, tmp_path, text):
-        lines = template_lines(f"x:{text}", f"x:{text}")
+        lines = entry_lines(f"x:{text}", f"x:{text}")
         path = tmp_path / "db.fdb"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         db = load(path)
@@ -326,7 +328,9 @@ class TestSharedSets:
         db = load(path)
         (kaz,) = lookup(db, PRED, "kaz")
         template = db.templates[Cat5.from_text("nominal,sentential,act,infinitive,ma")]
-        assert template.fs["syn"]["also"] is kaz.fs["syn"]["subcat"][0]["constraints"]
+        # a template is parsed alone: equal sets, two objects
+        also, constraints = template.fs["syn"]["also"], kaz.fs["syn"]["subcat"][0]["constraints"]
+        assert also == constraints and also is not constraints
         shared = derive(db)
         assert shared == derive(unshared_load(path))
         # the derived result holds the set twice, untagged: as its own copies
@@ -424,12 +428,11 @@ class TestDefaults:
 
 
 class TestTemplates:
-    def test_lookup_returns_fresh_copy(self, seed_db):
+    def test_lookup_returns_the_clauses_structure(self, seed_db):
+        # read-only, as lookup's senses are; no query writes to it (see
+        # test_engine.test_no_query_mutates_the_database)
         cat = Cat5.from_text("verb,attributive,none,none,none")
-        first = lookup_template(seed_db, cat)
-        first["morph"]["agr"] = "3sg"
-        again = lookup_template(seed_db, cat)
-        assert again["morph"]["agr"] == "none"
+        assert lookup_template(seed_db, cat) is seed_db.templates[cat].fs
 
     def test_lookup_template_miss(self, seed_db):
         assert lookup_template(seed_db, Cat5.from_text("verb,auxiliary")) is None

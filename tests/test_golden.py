@@ -14,7 +14,9 @@ items, nested sets and sequences, none of which the sample set prints.
 ``sense_dropped.txt`` holds ``turklex query --trace full`` in both layouts
 for the two ways retrieval drops a sense, which no sample query shows: a
 derived level whose category has no template, and inflections that
-conflict with a sense.  Regenerate it and ``render_shapes.txt`` with
+conflict with a sense.  ``repeated_category.txt`` holds the same for two
+chains that derive the same category twice, so both levels read one
+template.  Regenerate these three files and ``render_shapes.txt`` with
 ``python3 -m tests.test_golden`` from the repository root, with ``src`` on
 ``PYTHONPATH``.
 """
@@ -57,6 +59,32 @@ AT_MORPH = ("entry nominal,noun,common,none,none at := ",
 # ... and this parse's lexical level carries agr:1sg against it
 CONFLICTING_PARSE = "atX\t[[CAT=NOUN][ROOT=at][AGR=1SG]]\n"
 
+# two chains that each derive one category twice: adjective -lI then -lIk,
+# common noun -CI then -lIk
+REPEATED_CATEGORY_PARSES = (
+    "akIllIlIk\t[[CAT=NOUN][ROOT=akIl][CONV=ADJ=LI][CONV=ADJ=LIK]]\n"
+    "ekCilik\t[[CAT=NOUN][ROOT=ek][CONV=NOUN=CI][CONV=NOUN=LIK]"
+    "[AGR=3SG][POSS=NONE][CASE=NOM]]\n"
+)
+
+
+def cli_traces(runs) -> bytes:
+    """``turklex query --trace full`` in both layouts for each ``(options,
+    query)`` of ``runs``, each headed by a comment line."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    blocks = []
+    for options, query in runs:
+        for style in ("compact", "indented"):
+            result = subprocess.run(
+                [sys.executable, "-m", "turklex.cli", *options,
+                 "query", query, "--trace", "full", "--style", style],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            blocks.append(f"# {query} --style {style}\n".encode() + result.stdout)
+    return b"\n".join(blocks)
+
 
 def sense_dropped_traces(work: Path) -> bytes:
     """The CLI's full traces, in both layouts, of ``kazma`` and of ``atX``
@@ -71,21 +99,19 @@ def sense_dropped_traces(work: Path) -> bytes:
     db.write_text("".join(kept), encoding="utf-8")
     analyzer = work / "analyzer.tsv"
     analyzer.write_text(CONFLICTING_PARSE, encoding="utf-8")
+    return cli_traces([(["--db", str(db)], "[phon:kazma]"),
+                       (["--db", str(db), "--analyzer", str(analyzer)], "[phon:atX]")])
 
-    path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    blocks = []
-    for options, query in [(["--db", str(db)], "[phon:kazma]"),
-                           (["--db", str(db), "--analyzer", str(analyzer)], "[phon:atX]")]:
-        for style in ("compact", "indented"):
-            result = subprocess.run(
-                [sys.executable, "-m", "turklex.cli", *options,
-                 "query", query, "--trace", "full", "--style", style],
-                capture_output=True, env=env, timeout=120,
-            )
-            assert result.returncode == 0, result.stderr.decode()
-            blocks.append(f"# {query} --style {style}\n".encode() + result.stdout)
-    return b"\n".join(blocks)
+
+def repeated_category_traces(work: Path) -> bytes:
+    """The CLI's full traces, in both layouts, of the two surfaces of
+    :data:`REPEATED_CATEGORY_PARSES`, appended to a copy of the bundled
+    analyzer table written into ``work``."""
+    analyzer = work / "analyzer.tsv"
+    analyzer.write_text(bundled_path("analyzer.tsv").read_text(encoding="utf-8")
+                        + REPEATED_CATEGORY_PARSES, encoding="utf-8")
+    options = ["--analyzer", str(analyzer)]
+    return cli_traces([(options, "[phon:akIllIlIk]"), (options, "[phon:ekCilik]")])
 
 
 def render_shapes() -> str:
@@ -119,7 +145,15 @@ def test_sense_dropped_traces_are_unchanged(tmp_path):
     assert sense_dropped_traces(tmp_path) == (GOLDEN / "sense_dropped.txt").read_bytes()
 
 
+def test_repeated_category_traces_are_unchanged(tmp_path):
+    expected = (GOLDEN / "repeated_category.txt").read_bytes()
+    assert repeated_category_traces(tmp_path) == expected
+    assert b"@1" not in expected  # each level holds its own template nodes
+
+
 if __name__ == "__main__":
     (GOLDEN / "render_shapes.txt").write_text(render_shapes(), encoding="utf-8")
     with tempfile.TemporaryDirectory() as work:
         (GOLDEN / "sense_dropped.txt").write_bytes(sense_dropped_traces(Path(work)))
+    with tempfile.TemporaryDirectory() as work:
+        (GOLDEN / "repeated_category.txt").write_bytes(repeated_category_traces(Path(work)))
