@@ -1,4 +1,5 @@
-"""Locate data files shipped inside the package, and read their TSV rows."""
+"""Locate data files shipped inside the package, and read every data file
+(the four tab-separated tables and the database's clauses) one way."""
 
 from importlib import resources
 from pathlib import Path
@@ -9,24 +10,33 @@ def bundled_path(name: str) -> Path:
     return Path(str(resources.files("turklex").joinpath("data", name)))
 
 
-def read_rows(path, n_fields: int):
-    """Yield ``(lineno, fields)`` for each row of a tab-separated table.
+def read_rows(path, n_fields=None, handle=lambda *fields: list(fields)):
+    """Yield ``(lineno, handle(*fields))`` for each row of a data file.
 
-    Lines that are blank or start with ``#`` once stripped are skipped.  A
-    row is its line (without the newline) split on tabs, each field
-    stripped; a row with any other number of fields than ``n_fields``, or
-    with an empty field, raises ``ValueError`` naming ``path:lineno``.
+    Lines blank or starting with ``#`` once stripped are skipped but
+    counted.  Given ``n_fields``, a row is its line split on tabs, each
+    field stripped, and another number of fields or an empty one raises
+    ``ValueError``; without it, the stripped line is the row's one field.
+    A ``ValueError`` from a row is raised again as the same type, with
+    ``path:lineno:`` before its message.
     """
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
+    with open(path, encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            fields = [field.strip() for field in raw.rstrip("\n").split("\t")]
-            if len(fields) != n_fields:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
-                )
-            if not all(fields):
-                raise ValueError(f"{path}:{lineno}: field {fields.index('') + 1} is empty")
-            yield lineno, fields
+            try:
+                if n_fields is None:
+                    row = handle(line)
+                else:
+                    fields = [field.strip() for field in raw.rstrip("\n").split("\t")]
+                    if len(fields) != n_fields:
+                        raise ValueError(
+                            f"expected {n_fields} tab-separated fields, got {len(fields)}"
+                        )
+                    if not all(fields):
+                        raise ValueError(f"field {fields.index('') + 1} is empty")
+                    row = handle(*fields)
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, row

@@ -6,10 +6,15 @@ the mapping: one keyed by the lexical level of a parse (processor category,
 processor type, root), one keyed by a derivation (processor category,
 suffix).  A parse whose key has no row cannot be represented and is skipped
 by the engine: ``rows.get(key)`` gives ``None`` for it.
+
+A bad row of a table or of the inventory fails with ``path:line``.
+``Cat5.from_text`` is cached, so each distinct category text is one
+:class:`Cat5` per process, whichever file holds it.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Dict, NamedTuple
 
@@ -27,7 +32,9 @@ class Cat5(NamedTuple):
     sssub: str = "none"
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def from_text(cls, text: str) -> "Cat5":
+        """Read ``maj,min,...``; a text gives the same object each time."""
         parts = [sys.intern(part.strip()) for part in text.split(",")]
         if not 1 <= len(parts) <= 5 or not all(parts):
             raise ValueError(f"expected 1-5 comma-separated atoms, got {text!r}")
@@ -47,13 +54,7 @@ class Cat5(NamedTuple):
 
 def load_inventory(path) -> frozenset:
     """Load the category inventory: one ``maj,min,sub,ssub,sssub`` per line."""
-    categories = set()
-    for lineno, (text,) in read_rows(path, 1):
-        try:
-            categories.add(Cat5.from_text(text))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return frozenset(categories)
+    return frozenset(cat for _, cat in read_rows(path, 1, Cat5.from_text))
 
 
 class CategoryMap:
@@ -75,23 +76,19 @@ class CategoryMap:
         """Load ``key<TAB>...<TAB>category`` rows, rejecting duplicate keys
         and, given an inventory, categories outside it."""
         rows: Dict[tuple, Cat5] = {}
-        cats: Dict[str, Cat5] = {}  # one Cat5 per distinct category text
-        for lineno, fields in read_rows(path, cls.key_fields + 1):
+
+        def add(*fields):
             *key_fields, cat_text = fields
             key = tuple(map(sys.intern, key_fields))
             if key in rows:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-            cat = cats.get(cat_text)
-            if cat is None:
-                try:
-                    cat = cats[cat_text] = Cat5.from_text(cat_text)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"duplicate key {key}")
+            cat = Cat5.from_text(cat_text)
             if inventory is not None and cat not in inventory:
-                raise ValueError(
-                    f"{path}:{lineno}: category {cat.render()} is not in the inventory"
-                )
+                raise ValueError(f"category {cat.render()} is not in the inventory")
             rows[key] = cat
+
+        for _ in read_rows(path, cls.key_fields + 1, add):
+            pass
         return cls(rows)
 
 

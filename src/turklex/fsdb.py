@@ -33,15 +33,17 @@ same object; a clause holds a shared set once at most, since a node reached
 twice within a clause reads as co-indexing.  Template clauses are parsed
 alone and share no node with any other clause: a derived result holds a
 sense and a template side by side, and a set the two shared would be
-reached twice in it and render as co-indexed.  The load also makes one
-:class:`~turklex.catmap.Cat5` per distinct category text.  Nothing mutates
+reached twice in it and render as co-indexed.  Nothing mutates
 a shared set: the engine unifies copies, ``retrieve`` hands a sense's sets
 on in read-only results, and ``fill_entry_defaults`` changes only the
 clause's own root, ``syn`` and ``sem`` structures.
 
 A clause whose canonical line would hold a line break cannot be saved in
 this line-based format: ``clause_line`` raises :class:`InvariantError`, so
-``save`` fails before it writes.
+``save`` fails before it writes.  ``load`` reads whole stripped lines
+through :func:`~turklex._data.read_rows`, never split on tabs (a quoted
+atom may hold one), and a bad clause raises :class:`DatabaseFormatError`
+naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ._data import read_rows
 from .catmap import Cat5
 from .featstruct import (
     Concept,
@@ -294,73 +297,53 @@ def load(path) -> Database:
     back), and reference counting frees the parse garbage, so a collector
     pass during the load would scan the growing database and free nothing.
     """
+    db = Database()
+    sets: dict = {}  # one value per distinct plain set text of the entries
+
+    def add_clause(line: str) -> None:
+        if line.startswith("entry"):
+            match = _ENTRY_RE.match(line)
+            if match is None:
+                raise DatabaseFormatError("malformed entry clause")
+            cat_text, root, fs_text = match.groups()
+            root = sys.intern(root)
+            shared = sets
+        elif line.startswith("template"):
+            match = _TEMPLATE_RE.match(line)
+            if match is None:
+                raise DatabaseFormatError("malformed template clause")
+            cat_text, fs_text = match.groups()
+            root = None
+            shared = None  # a template shares no node with another clause
+        else:
+            keyword = line.split()[0]
+            raise DatabaseFormatError(f"expected 'entry' or 'template', got {keyword!r}")
+
+        try:
+            cat = Cat5.from_text(cat_text)
+            fs = parse_fs_text(fs_text, shared)
+            if root is not None:
+                add_entry(db, LexiconEntry(cat, root, fs))
+                return
+            template = TemplateEntry(cat, fs)
+            validate_template(template)
+        except FSSyntaxError as exc:
+            raise DatabaseFormatError(f"bad feature structure: {exc}") from exc
+        except ValueError as exc:  # a bad category text or a broken invariant
+            raise DatabaseFormatError(str(exc)) from exc
+        if cat in db.templates:
+            raise DatabaseFormatError(f"duplicate template for {cat.render()}")
+        db.templates[cat] = template
+        db.clauses.append(template)
+
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load(path)
+        for _ in read_rows(path, None, add_clause):
+            pass
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-def _load(path) -> Database:
-    db = Database()
-    cats: Dict[str, Cat5] = {}  # one Cat5 per distinct category text
-    sets: dict = {}  # one value per distinct plain set text of the entries
-
-    def fail(message: str) -> DatabaseFormatError:
-        return DatabaseFormatError(f"{path}:{lineno}: {message}")
-
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-
-            if line.startswith("entry"):
-                match = _ENTRY_RE.match(line)
-                if match is None:
-                    raise fail("malformed entry clause")
-                cat_text, root, fs_text = match.groups()
-                root = sys.intern(root)
-                shared = sets
-            elif line.startswith("template"):
-                match = _TEMPLATE_RE.match(line)
-                if match is None:
-                    raise fail("malformed template clause")
-                cat_text, fs_text = match.groups()
-                root = None
-                shared = None  # a template shares no node with another clause
-            else:
-                raise fail(f"expected 'entry' or 'template', got {line.split()[0]!r}")
-
-            cat = cats.get(cat_text)
-            if cat is None:
-                try:
-                    cat = cats[cat_text] = Cat5.from_text(cat_text)
-                except ValueError as exc:
-                    raise fail(str(exc)) from exc
-            try:
-                fs = parse_fs_text(fs_text, shared)
-            except FSSyntaxError as exc:
-                raise fail(f"bad feature structure: {exc}") from exc
-
-            if root is None:
-                template = TemplateEntry(cat, fs)
-                try:
-                    validate_template(template)
-                except InvariantError as exc:
-                    raise fail(str(exc)) from exc
-                if cat in db.templates:
-                    raise fail(f"duplicate template for {cat.render()}")
-                db.templates[cat] = template
-                db.clauses.append(template)
-            else:
-                entry = LexiconEntry(cat, root, fs)
-                try:
-                    add_entry(db, entry)
-                except InvariantError as exc:
-                    raise fail(str(exc)) from exc
     return db
 
 

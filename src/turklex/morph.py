@@ -217,15 +217,20 @@ class AnalyzerTable:
     def load(cls, path) -> "AnalyzerTable":
         """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate.
 
-        A bad parse fails with ``path:line``.
+        A bad parse, or a row that repeats one of its surface's parses,
+        fails with ``path:line``.
         """
         table: dict = {}
-        for lineno, (surface, parse_text) in read_rows(path, 2):
-            try:
-                parse = parse_parse_string(parse_text)
-            except ParseFormatError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            table.setdefault(sys.intern(surface), []).append(parse)
+
+        def add(surface, parse_text):
+            parse = parse_parse_string(parse_text)
+            parses = table.setdefault(sys.intern(surface), [])
+            if parse in parses:
+                raise ValueError(f"duplicate parse of {surface!r}")
+            parses.append(parse)
+
+        for _ in read_rows(path, 2, add):
+            pass
         return cls(table)
 
     def lookup(self, surface: str) -> list:

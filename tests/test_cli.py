@@ -370,6 +370,17 @@ class TestCheck:
         assert result.exit_code == 1
         assert f"{analyzer}:{lineno}: AGR appears twice in one level" in result.output
 
+    def test_repeated_analyzer_row_fails(self, runner, tmp_path):
+        analyzer = tmp_path / "analyzer.tsv"
+        text = bundled_path("analyzer.tsv").read_text(encoding="utf-8")
+        row = next(line for line in text.splitlines() if line.startswith("kazma\t"))
+        analyzer.write_text(f"{text}{row}\n", encoding="utf-8")
+        lineno = len(text.splitlines()) + 1
+        result = runner.invoke(main, ["--analyzer", str(analyzer), "check"])
+        assert result.exit_code == 1
+        assert f"problem: {analyzer}:{lineno}: duplicate parse of 'kazma'\n" in result.output
+        assert "1 problem(s) found" in result.output
+
     @pytest.mark.parametrize(
         "parse, message",
         [

@@ -1,4 +1,5 @@
-"""Tests for the shared row reader of the four tab-separated tables."""
+"""Tests for the shared row reader of the five data files: the four
+tab-separated tables and the database's clause file."""
 
 import re
 
@@ -6,14 +7,29 @@ import pytest
 
 from turklex._data import read_rows
 from turklex.catmap import DerivMapTable, RootMapTable, load_inventory
-from turklex.morph import AnalyzerTable
+from turklex.fsdb import DatabaseFormatError
+from turklex.fsdb import load as load_db
+from turklex.morph import AnalyzerTable, ParseFormatError
 
 GOOD_ROWS = {
     "categories.tsv": "nominal,noun,common,none,none\n",
     "analyzer.tsv": "at\t[[CAT=NOUN][ROOT=at]]\n",
     "rootmap.tsv": "noun\tnone\tat\tnominal,noun,common,none,none\n",
     "derivmap.tsv": "verb\tnone\tverb,attributive,none,none,none\n",
+    "lexicon.fdb": (
+        "entry nominal,noun,common,none,none at := [cat:[maj:nominal, min:noun, sub:common,"
+        " ssub:none, sssub:none], morph:[stem:at, form:lexical], sem:[concept:at-(horse)]]\n"
+    ),
 }
+
+# Each file's loader, a row it rejects, and the type of the error it raises.
+BAD_ROWS = [
+    ("categories.tsv", load_inventory, "nominal,,common\n", ValueError),
+    ("analyzer.tsv", AnalyzerTable.load, "at\t[CAT=NOUN]\n", ParseFormatError),
+    ("rootmap.tsv", RootMapTable.load, "noun\tnone\tev\tnominal,,common\n", ValueError),
+    ("derivmap.tsv", DerivMapTable.load, "noun\tma\tnominal,\n", ValueError),
+    ("lexicon.fdb", load_db, "lexeme a,b := [x:y]\n", DatabaseFormatError),
+]
 
 
 def write(tmp_path, name, text):
@@ -40,6 +56,50 @@ class TestReadRows:
         message = located(path, 2) + " expected 2 tab-separated fields, got 3"
         with pytest.raises(ValueError, match=message):
             list(read_rows(path, 2))
+
+
+    def test_whole_lines_are_never_split(self, tmp_path):
+        path = write(tmp_path, "t.fdb", "# comment\n a\tb \n\n")
+        assert list(read_rows(path)) == [(2, ["a\tb"])]
+
+    def test_handler_error_keeps_its_type_and_gains_file_line(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "a\n")
+
+        def reject(field):
+            raise ParseFormatError(f"no {field}")
+
+        with pytest.raises(ParseFormatError, match=f"^{located(path, 1)} no a$"):
+            list(read_rows(path, 1, reject))
+
+
+class TestEveryFile:
+    @pytest.mark.parametrize("name, load, bad_row, error", BAD_ROWS)
+    def test_blank_and_comment_lines_are_counted(self, tmp_path, name, load, bad_row, error):
+        text = "# comment\n\n  \n" + GOOD_ROWS[name] + "\t\n  # indented comment\n" + bad_row
+        path = write(tmp_path, name, text)
+        with pytest.raises(ValueError, match="^" + located(path, 7)):
+            load(path)
+
+    @pytest.mark.parametrize("name, load, bad_row, error", BAD_ROWS)
+    def test_each_loader_raises_its_own_type(self, tmp_path, name, load, bad_row, error):
+        path = write(tmp_path, name, GOOD_ROWS[name] + bad_row)
+        with pytest.raises(ValueError) as raised:
+            load(path)
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("lexeme a,b := [x:y]", "expected 'entry' or 'template', got 'lexeme'"),
+        ("entryfoo a,b x := [x:y]", "malformed entry clause"),
+        ("template a,b", "malformed template clause"),
+        ("entry nominal,,common at := [x:y]", "expected 1-5 comma-separated atoms"),
+        ("template a,b,c,d,e,f := [x:y]", "expected 1-5 comma-separated atoms"),
+        ("entry nominal,noun,common at := [x:", "bad feature structure: "),
+        ("entry nominal,noun,common at := [x:y]", "entry nominal,noun,common,none,none at: "),
+    ])
+    def test_bad_database_clause_names_file_and_line(self, tmp_path, bad_row, message):
+        path = write(tmp_path, "lexicon.fdb", GOOD_ROWS["lexicon.fdb"] + "\n" + bad_row + "\n")
+        with pytest.raises(DatabaseFormatError, match=f"^{located(path, 3)} {re.escape(message)}"):
+            load_db(path)
 
 
 class TestFieldCount:

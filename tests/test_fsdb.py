@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from turklex import fsdb
 from turklex._data import bundled_path
-from turklex.catmap import Cat5, DerivMapTable, RootMapTable
+from turklex.catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from turklex.engine import LexiconEngine
 from turklex.featstruct import (
     BaseConcept,
@@ -348,6 +348,33 @@ class TestSharedCategories:
                       DerivMapTable.load(bundled_path("derivmap.tsv"))):
             cats = list(table.rows.values())
             assert len({id(cat) for cat in cats}) == len(set(cats)) < len(cats)
+
+    def test_one_cat5_per_category_across_files(self):
+        inventory = load_inventory(bundled_path("categories.tsv"))
+        engine = LexiconEngine.from_bundled_data()
+        files = [
+            list(inventory),
+            list(engine.rootmap.rows.values()),
+            list(engine.derivmap.rows.values()),
+            [clause.cat for clause in engine.db.clauses],
+        ]
+        in_every_file = set(files[0]).intersection(*files[1:])
+        assert COMMON in in_every_file
+        for cat in in_every_file:
+            assert len({id(other) for cats in files for other in cats if other == cat}) == 1
+
+
+class TestTabs:
+    def test_quoted_atom_holding_a_tab_survives_save_and_load(self, db, tmp_path):
+        entry = make_entry()
+        entry.fs["sem"]["note"] = "a\tb"
+        add_entry(db, entry)
+        assert "'a\tb'" in clause_line(entry)
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        (loaded,) = lookup(load(path), COMMON, "yol")
+        assert loaded.fs["sem"]["note"] == "a\tb"
+        assert fs_equal(loaded.fs, entry.fs)
 
 
 class TestLineBreaks:

@@ -268,6 +268,23 @@ class TestAnalyzerTable:
         with pytest.raises(ValueError, match="fields"):
             AnalyzerTable.load(bad)
 
+    def test_load_rejects_a_repeated_row(self, tmp_path):
+        # a repeated row would give each of its parse's results twice
+        text = bundled_path("analyzer.tsv").read_text(encoding="utf-8")
+        row = next(line for line in text.splitlines() if line.startswith("kazma\t"))
+        bad = tmp_path / "analyzer.tsv"
+        bad.write_text(f"{text}{row}\n", encoding="utf-8")
+        lineno = len(text.splitlines()) + 1
+        message = f"{bad}:{lineno}: duplicate parse of 'kazma'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnalyzerTable.load(bad)
+
+    def test_load_keeps_one_parse_under_two_surfaces(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"at\t{ATIM_NOMINAL}\natIm\t{ATIM_NOMINAL}\n", encoding="utf-8")
+        table = AnalyzerTable.load(path)
+        assert table.lookup("at") == table.lookup("atIm")
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text(
