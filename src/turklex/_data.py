@@ -18,25 +18,39 @@ def read_rows(path, n_fields=None, handle=lambda *fields: list(fields)):
     field stripped, and another number of fields or an empty one raises
     ``ValueError``; without it, the stripped line is the row's one field.
     A ``ValueError`` from a row is raised again as the same type, with
-    ``path:lineno:`` before its message.
+    ``path:lineno:`` before its message, and a file that is not UTF-8
+    raises a plain ``ValueError`` naming the line of its first bad byte.
     """
-    with open(path, encoding="utf-8") as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if n_fields is None:
-                    row = handle(line)
-                else:
-                    fields = [field.strip() for field in raw.rstrip("\n").split("\t")]
-                    if len(fields) != n_fields:
-                        raise ValueError(
-                            f"expected {n_fields} tab-separated fields, got {len(fields)}"
-                        )
-                    if not all(fields):
-                        raise ValueError(f"field {fields.index('') + 1} is empty")
-                    row = handle(*fields)
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, row
+    try:
+        with open(path, encoding="utf-8") as lines:
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    if n_fields is None:
+                        row = handle(line)
+                    else:
+                        fields = [field.strip() for field in raw.rstrip("\n").split("\t")]
+                        if len(fields) != n_fields:
+                            raise ValueError(
+                                f"expected {n_fields} tab-separated fields, got {len(fields)}"
+                            )
+                        if not all(fields):
+                            raise ValueError(f"field {fields.index('') + 1} is empty")
+                        row = handle(*fields)
+                except ValueError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+                yield lineno, row
+    except UnicodeDecodeError:
+        # the text layer decodes in chunks, so the error's position counts
+        # from its chunk: find the line in the file's bytes (no UTF-8
+        # sequence holds a newline byte, so each line decodes on its own)
+        with open(path, "rb") as raw:
+            for lineno, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    message = f"not UTF-8: byte {line[exc.start]:#04x}, {exc.reason}"
+                    raise ValueError(f"{path}:{lineno}: {message}") from exc
+        raise

@@ -117,7 +117,7 @@ def _render_full(trace: QueryTrace, style: str) -> list:
     lines.append("Transformed parses:")
     lines.append(f"Number of parses: {len(trace.transformed)}")
     for i, tp in enumerate(trace.transformed, 1):
-        lines.append(f"{i}: {len(tp.levels)} level(s)")
+        lines.append(f"{i}: {len(tp)} level(s)")
     lines.append("")
 
     lines.append("Application of restrictions phase started...")

@@ -5,8 +5,10 @@ surface form; any other features act as restrictions.  Processing runs in
 four phases:
 
 1. morphological analysis of the surface form (every parse),
-2. transformation: each parse level is mapped to a lexicon category;
-   parses whose lexical level has no mapping are skipped,
+2. transformation: each level of a parse, the analyzer's own ``Level``,
+   is paired with its lexicon category; a parse with a level that has no
+   mapping is skipped, and each other parse is passed on as the tuple of
+   its ``(level, cat)`` pairs, the lexical level first,
 3. early restriction: the query's ``cat``/``morph`` features are checked
    against a cheap partial structure of each parse's outermost level,
    eliminating parses before any database access,
@@ -21,17 +23,17 @@ mutates ``copy_fs(result)``.  The engine itself writes only to nodes it
 has just built.
 
 Each phase fills its own lists of a :class:`QueryTrace`: phase 1
-``parses``; phase 2 ``mappings`` (one per level tried) and
-``transformed``; phase 3 ``eliminated`` and ``satisfying``; phase 4
-``events`` (database accesses and dropped senses, in order), ``retrieved``
-and ``results``.  A caller can reconstruct the run from it without
-re-running it.
+``parses``; phase 2 ``mappings`` (a ``(level, cat)`` pair per level tried)
+and ``transformed`` (the pair tuples); phase 3 ``eliminated`` and
+``satisfying``; phase 4 ``events`` (database accesses and dropped senses,
+in order), ``retrieved`` and ``results``.  A caller can reconstruct the
+run from it without re-running it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ._data import bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
@@ -45,7 +47,7 @@ from .featstruct import (
     unify,
 )
 from .fsdb import Database, LexiconEntry, load as load_db, lookup, lookup_template
-from .morph import AnalyzerTable
+from .morph import AnalyzerTable, Level
 
 
 class QueryError(ValueError):
@@ -84,7 +86,10 @@ class QueryTrace:
 
     ``mappings`` holds a ``(level, cat)`` pair for every parse level tried,
     with ``cat`` None where the level had no mapping and its parse was
-    skipped; ``eliminated`` holds the partial structure of each parse the
+    skipped.  ``transformed`` holds, for each parse whose every level
+    mapped, the tuple of its pairs, and ``satisfying`` those tuples the
+    early restriction kept: both hold the very pair objects ``mappings``
+    holds.  ``eliminated`` holds the partial structure of each parse the
     early restriction removed; ``events`` holds retrieval's
     :class:`FsdbAccess`, :class:`TfsdbAccess` and :class:`DropRecord`
     records in order.
@@ -104,26 +109,16 @@ class QueryTrace:
 # --------------------------------------------------------------------------
 # phase 2: transformation
 
-class TransformedLevel(NamedTuple):
-    cat: Cat5
-    inflections: tuple  # the analyzer level's own (key, value) pairs
-    suffix: Optional[str]  # None on the lexical level
-
-
-class TransformedParse(NamedTuple):
-    root: str
-    levels: tuple  # of TransformedLevel, the lexical level first
-
-
 def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
-              trace: QueryTrace) -> Optional[TransformedParse]:
+              trace: QueryTrace) -> Optional[tuple]:
     """Map every level of a parse to a lexicon category.
 
-    Returns None as soon as any level has no mapping; the lexical level is
-    tried first, so a parse with an unknown root never reports its
-    derivations.  The analyzer's immutable levels are passed on, not copied.
+    Returns the ``(level, cat)`` pairs it appended to ``trace.mappings``,
+    or None as soon as a level has no mapping; the lexical level comes
+    first, so a parse with an unknown root never reports its derivations.
+    The analyzer's immutable levels are passed on, not copied.
     """
-    tlevels = []
+    start = len(trace.mappings)
     for depth, level in enumerate(parse.levels):
         if depth:
             cat = derivmap.rows.get((level.proc_category, level.name))
@@ -132,24 +127,19 @@ def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
         trace.mappings.append((level, cat))
         if cat is None:
             return None
-        tlevels.append(TransformedLevel(cat, level.inflections, level.name if depth else None))
-    return TransformedParse(parse.levels[0].name, tuple(tlevels))
+    return tuple(trace.mappings[start:])
 
 
 # --------------------------------------------------------------------------
 # phase 3: early restriction
 
-def partial_outer_fs(tp: TransformedParse, surface: str) -> FeatStruct:
+def partial_outer_fs(tp: tuple, surface: str) -> FeatStruct:
     """Cheap approximation of a parse's outermost level, built without any
     database access: category, the level's own morph features, and phon."""
-    outer = tp.levels[-1]
-    if len(tp.levels) == 1:
-        morph = FeatStruct([("stem", tp.root)])
-    else:
-        morph = FeatStruct([("derv_suffix", outer.suffix)])
-    for name, value in outer.inflections:
-        morph[name] = value
-    return FeatStruct([("cat", outer.cat.as_fs()), ("morph", morph), ("phon", surface)])
+    level, cat = tp[-1]
+    morph = FeatStruct([("derv_suffix" if len(tp) > 1 else "stem", level.name)])
+    morph.update(level.inflections)
+    return FeatStruct([("cat", cat.as_fs()), ("morph", morph), ("phon", surface)])
 
 
 def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> list:
@@ -173,15 +163,16 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> 
 # --------------------------------------------------------------------------
 # phase 4: retrieval
 
-def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
+def build_derived(level: Level, cat: Cat5, stem_fs: FeatStruct, db: Database,
                   trace: QueryTrace, copy_template: bool = False) -> Optional[FeatStruct]:
-    """Wrap ``stem_fs`` into a derived structure for one derivation level.
+    """Wrap ``stem_fs`` into a derived structure for one derivation level,
+    the analyzer's ``level`` (whose ``name`` is the suffix) mapped to ``cat``.
 
     The category's template supplies the skeleton: template morph features
     come out in template order with the level's inflections overriding the
-    defaults, subcategorisation and thematic roles are taken over from the
-    stem (sharing the stem's objects, so co-indexing survives), and the
-    concept is wrapped by the derivational suffix.
+    defaults and the others appended, subcategorisation and thematic roles
+    are taken over from the stem (sharing the stem's objects, so co-indexing
+    survives), and the concept is wrapped by the derivational suffix.
 
     The result's root and its ``morph``, ``syn`` and ``sem`` blocks are
     new; its ``cat`` and the values it takes from the template are the
@@ -190,10 +181,10 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
     ``retrieve`` passes ``copy_template`` for the later level and it reads
     a copy of the template instead.
     """
-    trace.events.append(TfsdbAccess(level.cat))
-    template = lookup_template(db, level.cat)
+    trace.events.append(TfsdbAccess(cat))
+    template = lookup_template(db, cat)
     if template is None:
-        trace.events.append(DropRecord(f"no template for {level.cat.render()}"))
+        trace.events.append(DropRecord(f"no template for {cat.render()}"))
         return None
     if copy_template:
         template = copy_fs(template)
@@ -202,20 +193,14 @@ def build_derived(level: TransformedLevel, stem_fs: FeatStruct, db: Database,
 
     result = FeatStruct([("cat", template["cat"])])
 
-    morph = FeatStruct(
-        [("stem", stem_fs), ("form", "derived"), ("derv_suffix", level.suffix)]
-    )
-    pending = dict(level.inflections)
-    for name, default_value in template.get("morph", {}).items():
-        morph[name] = pending.pop(name, default_value)
-    for name, value in level.inflections:
-        if name in pending:
-            morph[name] = value
+    morph = FeatStruct([("stem", stem_fs), ("form", "derived"), ("derv_suffix", level.name)])
+    morph.update(template.get("morph", {}))
+    morph.update(level.inflections)
     result["morph"] = morph
 
     result["syn"] = _take_over(FeatStruct(), "subcat", stem_fs["syn"], template.get("syn", {}))
     stem_sem = stem_fs["sem"]
-    concept = DerivedConcept(level.suffix, stem_sem["concept"])
+    concept = DerivedConcept(level.name, stem_sem["concept"])
     result["sem"] = _take_over(
         FeatStruct([("concept", concept)]), "roles", stem_sem, template.get("sem", {})
     )
@@ -238,30 +223,31 @@ def _take_over(block: FeatStruct, name: str, stem_block, template_block) -> Feat
     return block
 
 
-def retrieve(tp: TransformedParse, db: Database, surface: str, trace: QueryTrace) -> list:
+def retrieve(tp: tuple, db: Database, surface: str, trace: QueryTrace) -> list:
     """Annotated structures for every sense of a transformed parse.
 
     The results share the database's nodes and are read-only: ``copy_fs``
     gives a private copy.  See :func:`inflect` and :func:`build_derived`
     for what is new in each.
     """
-    lexical = tp.levels[0]
-    senses = lookup(db, lexical.cat, tp.root)
-    trace.events.append(FsdbAccess(lexical.cat, tp.root, len(senses)))
+    lexical, lexical_cat = tp[0]
+    root = lexical.name
+    senses = lookup(db, lexical_cat, root)
+    trace.events.append(FsdbAccess(lexical_cat, root, len(senses)))
 
     inflections = FeatStruct(lexical.inflections)
     results = []
     for entry in senses:
         fs = inflect(entry, inflections)
         if fs is None:
-            trace.events.append(DropRecord(f"inflections conflict with a sense of {tp.root}"))
+            trace.events.append(DropRecord(f"inflections conflict with a sense of {root}"))
             continue
         used = set()  # the categories whose template this chain holds
-        for level in tp.levels[1:]:
-            fs = build_derived(level, fs, db, trace, copy_template=level.cat in used)
+        for level, cat in tp[1:]:
+            fs = build_derived(level, cat, fs, db, trace, copy_template=cat in used)
             if fs is None:
                 break
-            used.add(level.cat)
+            used.add(cat)
         if fs is None:
             continue
         fs["phon"] = surface

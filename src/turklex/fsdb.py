@@ -111,6 +111,7 @@ class Database:
         self.templates: Dict[Cat5, TemplateEntry] = {}
 
     def __len__(self) -> int:
+        """The number of clauses; the benchmark (``perfbench/run.py``) reports it."""
         return len(self.clauses)
 
 

@@ -381,6 +381,27 @@ class TestCheck:
         assert f"problem: {analyzer}:{lineno}: duplicate parse of 'kazma'\n" in result.output
         assert "1 problem(s) found" in result.output
 
+    @pytest.mark.parametrize("name, option, past", [
+        ("analyzer.tsv", "--analyzer", 0),
+        # the text layer decodes 8 KB chunks, so a byte past the first one
+        # must still be counted from the start of the file
+        ("lexicon.fdb", "--db", 8192),
+    ])
+    def test_file_that_is_not_utf8_fails_with_its_line(self, runner, tmp_path, name, option, past):
+        lines = bundled_path(name).read_bytes().splitlines(keepends=True)
+        lineno, start = 1, 0  # the line that gets the bad byte, and its offset
+        while lineno < 3 or start <= past:
+            start += len(lines[lineno - 1])
+            lineno += 1
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        bad = tmp_path / name
+        bad.write_bytes(b"".join(lines))
+        result = runner.invoke(main, [option, str(bad), "check"])
+        assert result.exit_code == 1
+        message = f"problem: {bad}:{lineno}: not UTF-8: byte 0xff, invalid start byte\n"
+        assert message in result.output
+        assert "1 problem(s) found" in result.output
+
     @pytest.mark.parametrize(
         "parse, message",
         [

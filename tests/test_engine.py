@@ -18,8 +18,6 @@ from turklex.engine import (
     QueryError,
     QueryTrace,
     TfsdbAccess,
-    TransformedLevel,
-    TransformedParse,
     build_derived,
     early_filter,
     final_filter,
@@ -39,8 +37,8 @@ from turklex.featstruct import (
     render_fs,
     subsumes,
 )
-from turklex.fsdb import clause_line, dumps, lookup
-from turklex.morph import AnalyzerTable, parse_parse_string
+from turklex.fsdb import Database, TemplateEntry, clause_line, dumps, lookup
+from turklex.morph import AnalyzerTable, Level, parse_parse_string
 
 from .test_featstruct import holds_none
 
@@ -52,20 +50,21 @@ def q(text):
     return parse_fs_text(text)
 
 
-def tlevel(cat, inflections=(), suffix=None):
-    return TransformedLevel(cat, tuple(inflections), suffix)
-
+def mapped(cat, name, inflections=()):
+    """A phase-2 ``(level, cat)`` pair: an analyzer level named ``name`` (the
+    root on the lexical level, the suffix on a derived one) mapped to ``cat``."""
+    return Level("noun", "none", name, tuple(inflections)), cat
 
 
 class TestTransform:
     def test_lexical_mapping(self, engine):
         parse = parse_parse_string("[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=1SG][CASE=NOM]]")
         tp = transform(parse, engine.rootmap, engine.derivmap, QueryTrace(surface="x"))
-        assert tp.root == "at"
-        assert len(tp.levels) == 1
-        level = tp.levels[0]
-        assert level.cat == COMMON
-        assert level.suffix is None
+        assert len(tp) == 1
+        ((level, cat),) = tp
+        assert level.name == "at"
+        assert cat == COMMON
+        assert level is parse.levels[0]  # the lexical level, named by its root
         assert level.inflections == (("agr", "3sg"), ("poss", "1sg"), ("case", "nom"))
 
     def test_derived_mapping(self, engine):
@@ -74,8 +73,8 @@ class TestTransform:
             "[CONV=VERB=NONE][TAM2=PRES][AGR=1SG]]"
         )
         tp = transform(parse, engine.rootmap, engine.derivmap, QueryTrace(surface="x"))
-        assert [level.cat for level in tp.levels] == [COMMON, ATTR]
-        assert tp.levels[1].suffix == "none"
+        assert [cat for _, cat in tp] == [COMMON, ATTR]
+        assert tp[1][0].name == "none"
 
     def test_unknown_root_skips(self, engine):
         trace = QueryTrace(surface="atIm")
@@ -111,22 +110,46 @@ class TestTransform:
 
     def test_analyzer_levels_pass_through_uncopied(self, engine):
         # phase 2 copies nothing: the trace holds the analyzer's own levels,
-        # and the transformed parse is immutable by type
+        # and the transformed parse, a tuple of their pairs, is immutable by type
         trace = engine.run(q("[phon:akIllIca]"))
         (parse,) = engine.analyzer.parses["akIllIca"]
         assert len(trace.mappings) == len(parse.levels) == 3
         for (mapped, _), level in zip(trace.mappings, parse.levels):
             assert mapped is level
         (tp,) = trace.transformed
-        assert isinstance(tp.levels, tuple)
-        for transformed, level in zip(tp.levels, parse.levels):
+        assert isinstance(tp, tuple)
+        for (transformed, _), level in zip(tp, parse.levels):
             assert isinstance(transformed.inflections, tuple)
             assert transformed.inflections is level.inflections
+
+    def test_transformed_and_satisfying_hold_the_mapped_pairs(self, engine):
+        # each transformed parse is the run of pairs phase 2 appended to
+        # trace.mappings for it, the same objects, and so is each satisfying one
+        for surface in sorted(set(engine.analyzer.surfaces())):
+            trace = engine.run(FeatStruct([("phon", surface)]))
+            pairs = iter(trace.mappings)
+            expected = []
+            for parse in trace.parses:
+                tried = []
+                for level in parse.levels:
+                    tried.append(next(pairs))
+                    assert tried[-1][0] is level, surface
+                    if tried[-1][1] is None:
+                        break
+                if tried[-1][1] is not None:
+                    expected.append(tried)
+            assert next(pairs, None) is None, surface
+            assert len(trace.transformed) == len(expected), surface
+            for tp, tried in zip(trace.transformed, expected):
+                assert len(tp) == len(tried), surface
+                assert all(got is want for got, want in zip(tp, tried)), surface
+            for tp in trace.satisfying:
+                assert any(tp is transformed for transformed in trace.transformed), surface
 
 
 class TestEarlyFilter:
     def test_partial_shape_lexical(self):
-        tp = TransformedParse("at", [tlevel(COMMON, [("agr", "3sg"), ("case", "nom")])])
+        tp = (mapped(COMMON, "at", [("agr", "3sg"), ("case", "nom")]),)
         partial = partial_outer_fs(tp, "atIm")
         assert fs_equal(
             partial,
@@ -135,10 +158,9 @@ class TestEarlyFilter:
         )
 
     def test_partial_shape_derived(self):
-        tp = TransformedParse(
-            "at",
-            [tlevel(COMMON, [("case", "nom")]),
-             tlevel(ATTR, [("tam2", "pres")], suffix="none")],
+        tp = (
+            mapped(COMMON, "at", [("case", "nom")]),
+            mapped(ATTR, "none", [("tam2", "pres")]),
         )
         partial = partial_outer_fs(tp, "atIm")
         # the outermost level is approximated, not the lexical one
@@ -147,30 +169,30 @@ class TestEarlyFilter:
         assert get_path(partial, "morph|tam2") == "pres"
 
     def test_no_restriction_keeps_everything(self):
-        tps = [TransformedParse("at", [tlevel(COMMON)])]
+        tps = [(mapped(COMMON, "at"),)]
         assert early_filter(tps, q("[phon:atIm]"), "atIm", QueryTrace(surface="atIm")) == tps
 
     def test_value_conflict_eliminates(self):
-        tps = [TransformedParse("at", [tlevel(COMMON, [("poss", "none")])])]
+        tps = [(mapped(COMMON, "at", [("poss", "none")]),)]
         assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
                             QueryTrace(surface="atIm")) == []
 
     def test_absence_eliminates(self):
         # closed-world: a level without poss cannot satisfy a poss restriction
-        tps = [TransformedParse("at", [tlevel(COMMON, [("agr", "3sg")])])]
+        tps = [(mapped(COMMON, "at", [("agr", "3sg")]),)]
         assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
                             QueryTrace(surface="atIm")) == []
 
     def test_sem_restrictions_do_not_eliminate(self):
         # the partial structure has no sem block, so sem must wait for phase 4
-        tps = [TransformedParse("at", [tlevel(COMMON)])]
+        tps = [(mapped(COMMON, "at"),)]
         kept = early_filter(tps, q("[phon:atIm, sem:[animate:'-']]"), "atIm",
                             QueryTrace(surface="atIm"))
         assert kept == tps
 
     def test_elimination_recorded(self, engine):
         trace = QueryTrace(surface="atIm")
-        tps = [TransformedParse("at", [tlevel(COMMON, [("poss", "none")])])]
+        tps = [(mapped(COMMON, "at", [("poss", "none")]),)]
         early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm", trace)
         (partial,) = trace.eliminated
         assert get_path(partial, "morph|poss") == "none"
@@ -184,8 +206,8 @@ class TestBuildDerived:
         return copy.deepcopy(entry.fs)
 
     def test_template_order_with_overrides(self, engine):
-        level = tlevel(ATTR, [("tam2", "pres"), ("agr", "1sg")], suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(ATTR, "none", [("tam2", "pres"), ("agr", "1sg")])
+        fs = build_derived(level, cat, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert list(fs["morph"].keys()) == [
             "stem", "form", "derv_suffix", "tam2", "copula", "agr",
         ]
@@ -195,21 +217,21 @@ class TestBuildDerived:
         assert fs["morph"]["form"] == "derived"
 
     def test_leftover_inflections_appended(self, engine):
-        level = tlevel(ATTR, [("tam2", "pres"), ("polarity", "pos")], suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(ATTR, "none", [("tam2", "pres"), ("polarity", "pos")])
+        fs = build_derived(level, cat, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert list(fs["morph"].keys())[-1] == "polarity"
 
     def test_concept_wrapping(self, engine):
-        level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(ATTR, "none")
+        fs = build_derived(level, cat, self.stem(engine), engine.db, QueryTrace(surface="x"))
         concept = fs["sem"]["concept"]
         assert isinstance(concept, DerivedConcept)
         assert repr(concept) == "none(at-(horse))"
 
     def test_stem_phon_forced_to_none(self, engine):
         stem = self.stem(engine)
-        level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, stem, engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(ATTR, "none")
+        fs = build_derived(level, cat, stem, engine.db, QueryTrace(surface="x"))
         assert fs["morph"]["stem"] is stem
         assert stem["phon"] == "none"
         assert fs["phon"] == "none"
@@ -219,22 +241,22 @@ class TestBuildDerived:
 
         (kaz,) = lookup(engine.db, Cat5.from_text("verb,predicative"), "kaz")
         stem = copy.deepcopy(kaz.fs)
-        level = tlevel(Cat5.from_text("nominal,sentential,act,infinitive,ma"), suffix="ma")
-        fs = build_derived(level, stem, engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(Cat5.from_text("nominal,sentential,act,infinitive,ma"), "ma")
+        fs = build_derived(level, cat, stem, engine.db, QueryTrace(surface="x"))
         assert fs["syn"]["subcat"] is stem["syn"]["subcat"]
         assert isinstance(fs["syn"]["subcat"], Seq)
         # thematic roles travel with the stem too, preserving co-indexing
         assert fs["sem"]["roles"] is stem["sem"]["roles"]
 
     def test_atomic_subcat_copied(self, engine):
-        level = tlevel(ATTR, suffix="none")
-        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(ATTR, "none")
+        fs = build_derived(level, cat, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert fs["syn"]["subcat"] == "none"
 
     def test_template_extras_filled(self, engine):
         # the qualitative-adjective template contributes modifies/gradable
-        level = tlevel(Cat5.from_text("adjectival,adjective,qualitative"), suffix="lI")
-        fs = build_derived(level, self.stem(engine), engine.db, QueryTrace(surface="x"))
+        level, cat = mapped(Cat5.from_text("adjectival,adjective,qualitative"), "lI")
+        fs = build_derived(level, cat, self.stem(engine), engine.db, QueryTrace(surface="x"))
         assert get_path(fs, "syn|modifies|cat|min") == "noun"
         assert fs["sem"]["gradable"] == "-"
         assert fs["sem"]["questional"] == "-"
@@ -242,46 +264,86 @@ class TestBuildDerived:
 
     def test_missing_template_drops(self, engine):
         trace = QueryTrace(surface="x")
-        level = tlevel(Cat5.from_text("verb,existential"), suffix="none")
-        assert build_derived(level, self.stem(engine), engine.db, trace) is None
+        level, cat = mapped(Cat5.from_text("verb,existential"), "none")
+        assert build_derived(level, cat, self.stem(engine), engine.db, trace) is None
         access, drop = trace.events  # access is recorded before the miss
         assert isinstance(access, TfsdbAccess) and isinstance(drop, DropRecord)
 
 
+# The morph block build_derived wrote before it became two dict updates: the
+# oracle for the property below.
+def _pending_morph(stem_fs, suffix, template_morph, inflections):
+    morph = FeatStruct([("stem", stem_fs), ("form", "derived"), ("derv_suffix", suffix)])
+    pending = dict(inflections)
+    for name, default_value in template_morph.items():
+        morph[name] = pending.pop(name, default_value)
+    for name, value in inflections:
+        if name in pending:
+            morph[name] = value
+    return morph
+
+
+# names that overlap each other and the three features build_derived sets itself
+_derived_morph_name = st.sampled_from(
+    ["stem", "form", "derv_suffix", "agr", "poss", "case", "tam2", "copula"]
+)
+_derived_morph_value = st.sampled_from(["none", "3sg", "1sg", "pres", "derived", "lexical"])
+
+
+@given(
+    defaults=st.lists(st.tuples(_derived_morph_name, _derived_morph_value),
+                      unique_by=lambda pair: pair[0]),
+    inflections=st.lists(st.tuples(_derived_morph_name, _derived_morph_value), max_size=6),
+)
+def test_derived_morph_matches_the_pending_construction(defaults, inflections):
+    template = FeatStruct([("cat", ATTR.as_fs())])
+    if defaults:
+        template["morph"] = FeatStruct(defaults)
+    db = Database()
+    db.templates[ATTR] = TemplateEntry(ATTR, template)
+    stem = q("[syn:[subcat:none], sem:[concept:at-(horse)]]")
+    level, cat = mapped(ATTR, "none", inflections)
+
+    fs = build_derived(level, cat, stem, db, QueryTrace(surface="x"))
+    expected = _pending_morph(stem, "none", template.get("morph", {}), level.inflections)
+    assert list(fs["morph"]) == list(expected)
+    assert all(fs["morph"][name] is value for name, value in expected.items())
+
+
 class TestRetrieve:
     def test_sense_multiplicity(self, engine):
-        tp = TransformedParse("ek", [tlevel(COMMON, [("case", "nom")])])
+        tp = (mapped(COMMON, "ek", [("case", "nom")]),)
         results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         assert len(results) == 2
 
     def test_access_recorded_with_count(self, engine):
         trace = QueryTrace(surface="ek")
-        tp = TransformedParse("ek", [tlevel(COMMON)])
+        tp = (mapped(COMMON, "ek"),)
         retrieve(tp, engine.db, "ek", trace)
         (access,) = trace.events
         assert isinstance(access, FsdbAccess)
         assert (access.cat, access.root, access.count) == (COMMON, "ek", 2)
 
     def test_unknown_root_empty(self, engine):
-        tp = TransformedParse("yol", [tlevel(COMMON)])
+        tp = (mapped(COMMON, "yol"),)
         assert retrieve(tp, engine.db, "yol", QueryTrace(surface="yol")) == []
 
     def test_outermost_phon_is_surface(self, engine):
-        tp = TransformedParse("at", [tlevel(COMMON, [("poss", "1sg")])])
+        tp = (mapped(COMMON, "at", [("poss", "1sg")]),)
         (fs,) = retrieve(tp, engine.db, "atIm", QueryTrace(surface="atIm"))
         assert fs["phon"] == "atIm"
 
     def test_conflicting_inflections_drop_sense(self, engine):
         trace = QueryTrace(surface="at")
         # "form" clashes with the entry's morph|form=lexical
-        tp = TransformedParse("at", [tlevel(COMMON, [("form", "derived")])])
+        tp = (mapped(COMMON, "at", [("form", "derived")]),)
         assert retrieve(tp, engine.db, "at", trace) == []
         access, drop = trace.events
         assert isinstance(drop, DropRecord)
 
     def test_result_shares_the_senses_unchanged_nodes(self, engine):
         (entry,) = lookup(engine.db, COMMON, "at")
-        tp = TransformedParse("at", [tlevel(COMMON, [("poss", "1sg")])])
+        tp = (mapped(COMMON, "at", [("poss", "1sg")]),)
         (fs,) = retrieve(tp, engine.db, "atIm", QueryTrace(surface="atIm"))
         # only the root and the morph block, on the path to the change, are new
         assert fs is not entry.fs and fs["morph"] is not entry.fs["morph"]
@@ -294,8 +356,7 @@ class TestRetrieve:
     def test_derived_levels_share_the_templates_nodes(self, engine):
         adj = Cat5.from_text("adjectival,adjective,qualitative")
         template = engine.db.templates[adj].fs
-        tp = TransformedParse("akIl", [tlevel(COMMON), tlevel(adj, suffix="lI"),
-                                       tlevel(adj, suffix="lIk")])
+        tp = (mapped(COMMON, "akIl"), mapped(adj, "lI"), mapped(adj, "lIk"))
         (outer,) = retrieve(tp, engine.db, "akIllIlIk", QueryTrace(surface="akIllIlIk"))
         inner = outer["morph"]["stem"]
         # the first adjectival level reads the template in place ...
@@ -309,14 +370,14 @@ class TestRetrieve:
 
 class TestFinalFilter:
     def test_full_query_subsumption(self, engine):
-        tp = TransformedParse("ek", [tlevel(COMMON)])
+        tp = (mapped(COMMON, "ek"),)
         results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         kept = final_filter(results, q("[phon:ek, sem:[concept:ek-(appendix)]]"))
         assert len(kept) == 1
         assert kept[0]["sem"]["concept"].gloss == "appendix"
 
     def test_absent_path_eliminates(self, engine):
-        tp = TransformedParse("ek", [tlevel(COMMON)])
+        tp = (mapped(COMMON, "ek"),)
         results = retrieve(tp, engine.db, "ek", QueryTrace(surface="ek"))
         assert final_filter(results, q("[phon:ek, morph:[poss:'1sg']]")) == []
 
@@ -441,7 +502,7 @@ class TestRunQuery:
             return 1 + depth(stem) if isinstance(stem, FeatStruct) else 1
 
         trace = engine.run(q("[phon:akIllIca]"))
-        assert depth(trace.results[0]) == len(trace.satisfying[0].levels) == 3
+        assert depth(trace.results[0]) == len(trace.satisfying[0]) == 3
 
     def test_inner_phons_are_none(self, engine):
         (fs,) = engine.query(q("[phon:akIllIca]"))

@@ -259,8 +259,8 @@ class TestAnalyzerTable:
         with caplog.at_level("DEBUG"):
             trace = engine.run(parse_fs_text("[phon:attan]"))
         assert caplog.records == []
-        (tp,) = trace.transformed
-        assert tp.levels[0].inflections == (("agr", "3sg"), ("poss", "none"), ("case", "abl"))
+        (((lexical, _),),) = trace.transformed
+        assert lexical.inflections == (("agr", "3sg"), ("poss", "none"), ("case", "abl"))
 
     def test_load_rejects_wrong_field_count(self, tmp_path):
         bad = tmp_path / "table.tsv"
