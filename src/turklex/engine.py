@@ -11,7 +11,8 @@ four phases:
    its ``(level, cat)`` pairs, the lexical level first,
 3. early restriction: the query's ``cat``/``morph`` features are checked
    against a cheap partial structure of each parse's outermost level,
-   eliminating parses before any database access,
+   eliminating parses before any database access; a query that restricts
+   neither passes every parse on and builds nothing,
 4. retrieval: every sense of the root is fetched, inflections are unified
    into a copy of its ``morph`` block, derived levels are folded around the
    stem using the category's template, and the full query finally filters
@@ -147,9 +148,12 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> 
 
     Only the query's ``cat`` and ``morph`` blocks take part: the partial
     structure knows nothing about syn or sem, and those must not cause
-    eliminations here.
+    eliminations here.  A query with neither keeps every parse without
+    building a partial structure, since an empty restriction subsumes any.
     """
     restriction = project(query_fs, ("cat", "morph"))
+    if not restriction:
+        return list(tps)
     keep = []
     for tp in tps:
         partial = partial_outer_fs(tp, surface)

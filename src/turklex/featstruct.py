@@ -23,10 +23,13 @@ accepted and changes nothing.
 Co-indexing is physical object sharing: the text syntax ``@n=value`` /
 ``@n`` resolves to one shared object at parse time, and the renderer
 re-derives tags from sharing, so there is no tag node type at runtime.
-:func:`unify` takes any two values.  It copies both with :func:`copy_fs`
-under one memo (preserving sharing topology inside and across them) and
-merges destructively into the copy, which is what keeps co-indexed
-substructures co-indexed in the result.  Only the nodes are copied: the
+:func:`unify` takes any two values.  It copies the first with
+:func:`copy_fs` and merges the second into that copy destructively,
+reading the second as it is: under the same memo, a node of the second is
+copied only where the result takes it over, and one that already has a
+copy is read through that copy.  That keeps co-indexed substructures
+co-indexed in the result, inside and across the operands, and the result
+shares no node with either operand.  Only the nodes are copied: the
 leaves are immutable by type (``str``, ``frozenset``, and frozen
 dataclasses for :class:`Neg` and the concepts, whose fields cannot be
 assigned), so copies share them.  A negation or concept that could not be
@@ -560,59 +563,77 @@ def unify(x, y):
     """Unify two values (structures, atoms, sets, negations, ...); returns a
     new value or None.
 
-    Operands are never mutated.  Sharing topology inside (and across) the
-    operands is preserved in the result.
+    ``x`` is copied whole with :func:`copy_fs`; of ``y`` only the nodes the
+    result takes over are copied, under the same memo, so the result shares
+    no node with either operand.  Operands are never mutated.  Sharing
+    topology inside (and across) the operands is preserved in the result.
     """
     memo = {}
-    return _merge_values(copy_fs(x, memo), copy_fs(y, memo))
+    return _meet(copy_fs(x, memo), y, memo, False)
 
 
-def _merge(a: FeatStruct, b: FeatStruct):
-    for name, bv in b.items():
-        if name in a:
-            merged = _merge_values(a[name], bv)
-            if merged is None:
+def _meet(a, y, memo, copied):
+    """Unify ``y`` into ``a``, a node (or leaf) of the result, in place;
+    returns the unified value or None.
+
+    ``y`` is an operand's own value while ``copied`` is false; a node of it
+    that already has a copy in ``memo`` is read through that copy, and
+    everything below a copy is the result's own, so it is placed as it is.
+    Any other node of ``y`` is copied only where it is placed, or where a
+    constraint set is compared.
+    """
+    if not copied and type(y) in _NODE_TYPES:
+        done = memo.get(id(y))
+        if done is not None:
+            y, copied = done, True
+    if type(a) is FeatStruct:
+        if type(y) is not FeatStruct:
+            return None
+        for name, yv in y.items():
+            if name in a:
+                merged = _meet(a[name], yv, memo, copied)
+                if merged is None:
+                    return None
+                a[name] = merged
+            elif copied or type(yv) not in _NODE_TYPES:
+                a[name] = yv
+            else:
+                a[name] = _copy_node(yv, memo)
+        return a
+    if type(a) is Seq:
+        if type(y) is not Seq or len(a) != len(y):
+            return None
+        merged = []
+        for av, yv in zip(a, y):
+            m = _meet(av, yv, memo, copied)
+            if m is None:
                 return None
-            a[name] = merged
-        else:
-            a[name] = bv
-    return a
+            merged.append(m)
+        a[:] = merged
+        return a
+    if type(y) is FSSet and type(a) is FSSet and not copied:
+        # compared as the result would hold it: its members' copies, if any
+        y = _copy_node(y, memo)
+    return _meet_atoms(a, y)
 
 
 _ATOMIC = (str, frozenset, Neg)
 
 
-def _merge_values(x, y):
-    if isinstance(x, str) and isinstance(y, str):
-        return x if x == y else None
-    if isinstance(x, FeatStruct):
-        return _merge(x, y) if isinstance(y, FeatStruct) else None
-    if isinstance(x, _ATOMIC):
-        return _meet_atoms(x, y) if isinstance(y, _ATOMIC) else None
-    if isinstance(x, Seq):
-        if not isinstance(y, Seq) or len(x) != len(y):
-            return None
-        merged = []
-        for xv, yv in zip(x, y):
-            m = _merge_values(xv, yv)
-            if m is None:
-                return None
-            merged.append(m)
-        x[:] = merged
-        return x
-    # a concept meets only an equal concept, and a constraint set only an
-    # equal set: the pipeline never unifies constraint sets deeply
-    return x if x == y else None
-
-
 def _meet_atoms(x, y):
-    """Meet of two atoms, atom sets or negations, each read as the set of
-    atoms it allows: the atoms both allow, or None if there are none; one
-    atom is a bare ``str``, more a ``frozenset``.
+    """Meet of two leaves: for atoms, atom sets and negations, each read as
+    the set of atoms it allows, the atoms both allow, or None if there are
+    none; one atom is a bare ``str``, more a ``frozenset``.  Anything else
+    meets only its equal: a concept an equal concept, and a constraint set
+    an equal set, since the pipeline never unifies constraint sets deeply.
 
     "not a and not b" has no value form in an open atom universe, so two
     negations meet conservatively: identical ones succeed, different fail.
     """
+    if isinstance(x, str) and isinstance(y, str):
+        return x if x == y else None
+    if not isinstance(x, _ATOMIC) or not isinstance(y, _ATOMIC):
+        return x if x == y else None
     if isinstance(x, Neg):
         if isinstance(y, Neg):
             return x if x == y else None
@@ -657,8 +678,8 @@ def subsumes(general, specific) -> bool:
         return all(any(subsumes(g, s) for s in specific) for g in general)
     if type(specific) in _NODE_TYPES:
         return False
-    # atomic against atomic: compatible iff they unify (pure for atoms)
-    return _merge_values(general, specific) is not None
+    # leaf against leaf: compatible iff they meet (pure for leaves)
+    return _meet_atoms(general, specific) is not None
 
 
 # ------------------------------------------------------------ paths, access

@@ -49,3 +49,26 @@ def shared_structs(draw):
     shared = draw(feat_structs)
     rest = draw(feat_structs)
     return FeatStruct([("first", shared), ("other", rest), ("second", shared)])
+
+
+def _nodes(value, found):
+    if isinstance(value, (FeatStruct, Seq, FSSet)) and not any(value is n for n in found):
+        found.append(value)
+        for child in value.values() if isinstance(value, FeatStruct) else value:
+            _nodes(child, found)
+    return found
+
+
+@st.composite
+def entangled_pairs(draw):
+    """Two structures, the second holding one to three nodes of the first,
+    mostly under names the first uses too, so that unifying them meets a
+    node of the first in both operands."""
+    first = draw(st.one_of(feat_structs, shared_structs()))
+    second = FeatStruct(draw(feat_structs))
+    nodes = _nodes(first, [])
+    names = st.sampled_from(sorted(first)) if first else feature_names
+    for name in draw(st.lists(st.one_of(names, feature_names), min_size=1, max_size=3,
+                              unique=True)):
+        second[name] = draw(st.sampled_from(nodes))
+    return first, second

@@ -190,6 +190,35 @@ class TestEarlyFilter:
                             QueryTrace(surface="atIm"))
         assert kept == tps
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of each partial structure the engine builds."""
+        calls = []
+        monkeypatch.setattr("turklex.engine.partial_outer_fs",
+                            lambda *args: calls.append(args) or partial_outer_fs(*args))
+        return calls
+
+    @pytest.mark.parametrize("rest", ["", ", sem:[temporal:+]", ", syn:[subcat:none]"])
+    def test_no_cat_or_morph_restriction_keeps_every_parse(self, engine, built, rest):
+        for surface in sorted(set(engine.analyzer.surfaces())):
+            query_fs = q(f"[phon:{surface}{rest}]")
+            trace = engine.run(query_fs)
+            assert len(trace.satisfying) == len(trace.transformed), surface
+            assert all(kept is tp for kept, tp in zip(trace.satisfying, trace.transformed))
+            assert trace.eliminated == [], surface
+            late = engine.query(query_fs, use_early_filter=False)
+            assert list(map(render_fs, trace.results)) == list(map(render_fs, late)), surface
+        assert built == []
+
+    @pytest.mark.parametrize("block", ["cat", "morph"])
+    def test_an_empty_cat_or_morph_block_is_still_checked(self, engine, built, block):
+        for surface in sorted(set(engine.analyzer.surfaces())):
+            del built[:]
+            trace = engine.run(q(f"[phon:{surface}, {block}:[]]"))
+            assert len(built) == len(trace.transformed), surface
+            plain = engine.query(q(f"[phon:{surface}]"))
+            assert list(map(render_fs, trace.results)) == list(map(render_fs, plain)), surface
+
     def test_elimination_recorded(self, engine):
         trace = QueryTrace(surface="atIm")
         tps = [(mapped(COMMON, "at", [("poss", "none")]),)]

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from turklex.featstruct import (
     BaseConcept,
@@ -16,6 +16,7 @@ from turklex.featstruct import (
     copy_fs,
     fs_equal,
     get_path,
+    node_counts,
     parse_fs_text,
     project,
     render_fs,
@@ -24,7 +25,8 @@ from turklex.featstruct import (
 )
 
 from . import oracle_unify
-from .strategies import feat_structs, shared_structs
+from .oracle_copy_merge import copy_merge_unify
+from .strategies import entangled_pairs, feat_structs, shared_structs
 
 NODE_TYPES = (FeatStruct, Seq, FSSet)
 
@@ -505,6 +507,80 @@ def test_unify_result_subsumed_by_operands(a, b):
     if out is not None:
         assert subsumes(a, out)
         assert subsumes(b, out)
+
+
+# unify copies x whole but only the nodes of y it places: it must give the
+# answers, sharing included, of copying both operands and merging the copies
+
+_operand_pairs = st.one_of(
+    st.tuples(feat_structs, feat_structs),
+    st.tuples(shared_structs(), shared_structs()),
+    entangled_pairs(),
+)
+
+
+def _outcome(unifier, x, y):
+    """The rendered result, None, or the type of the error raised: when one
+    operand holds a node of the other, the merge can place a node inside
+    itself and recurse without end, or grow a node it is iterating."""
+    try:
+        out = unifier(x, y)
+    except RuntimeError as error:
+        return type(error)
+    return None if out is None else render_fs(out)
+
+
+@settings(max_examples=300)
+@given(_operand_pairs)
+def test_unify_agrees_with_copying_both_operands(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert _outcome(unify, a, b) == _outcome(copy_merge_unify, a, b)
+
+
+def test_unify_reads_a_shared_node_through_its_copy():
+    # N is in both operands; y's N is read through x's copy of it, and the
+    # children of that copy are placed as they are, so @2 survives
+    n = parse_fs_text("[cat:[]]")
+    x = parse_fs_text("[first:@1=[], other:[], second:@1]")
+    x["cat"] = n
+    y = FeatStruct([("first", n), ("other", FeatStruct()), ("second", n)])
+    expected = "[first:@1=[cat:@2=[]], other:[], second:@1, cat:[cat:@2]]"
+    assert render_fs(unify(x, y)) == render_fs(copy_merge_unify(x, y)) == expected
+
+
+def test_unify_reads_a_shared_node_as_merged_so_far():
+    # by the time y's b reaches N, x's copy of N has taken g:z from y's a
+    n = parse_fs_text("[f:[]]")
+    x = FeatStruct([("a", n), ("b", FeatStruct())])
+    y = FeatStruct([("a", parse_fs_text("[g:z]")), ("b", n)])
+    expected = "[a:[f:@1=[], g:z], b:[f:@1, g:z]]"
+    assert render_fs(unify(x, y)) == render_fs(copy_merge_unify(x, y)) == expected
+
+
+def test_unify_compares_a_constraint_set_as_merged_so_far():
+    # y's set holds y's @1, which q has grown by j:w before s is reached
+    x = parse_fs_text("[p:@1=[], q:@1, s:{[k:v, j:w]}]")
+    y = parse_fs_text("[p:[t:@1=[k:v]], q:[t:[j:w]], s:{@1}]")
+    expected = "[p:@1=[t:[k:v, j:w]], q:@1, s:{[k:v, j:w]}]"
+    assert render_fs(unify(x, y)) == render_fs(copy_merge_unify(x, y)) == expected
+
+
+@settings(max_examples=200)
+@given(_operand_pairs)
+def test_unify_result_owns_its_nodes(pair):
+    # inflect and build_derived write to the nodes unify returns
+    x, y = pair
+    before = render_fs(x), render_fs(y)
+    for a, b in ((x, y), (y, x)):
+        try:
+            out = unify(a, b)
+        except RuntimeError:  # see _outcome
+            continue
+        if out is not None:
+            own = node_counts(out).keys()
+            assert own.isdisjoint(node_counts(x)) and own.isdisjoint(node_counts(y))
+    assert (render_fs(x), render_fs(y)) == before
 
 
 # ------------------------------------------------------------------ copying
