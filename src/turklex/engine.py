@@ -9,14 +9,26 @@ four phases:
    is paired with its lexicon category; a parse with a level that has no
    mapping is skipped, and each other parse is passed on as the tuple of
    its ``(level, cat)`` pairs, the lexical level first,
-3. early restriction: the query's ``cat``/``morph`` features are checked
-   against a cheap partial structure of each parse's outermost level,
-   eliminating parses before any database access; a query that restricts
-   neither passes every parse on and builds nothing,
+3. early restriction: each ``block|name`` path of the query's ``cat`` and
+   ``morph`` blocks is checked against a cheap partial structure of each
+   parse's outermost level, before any database access.  A path the
+   partial structure holds must meet its value there, and so must a path
+   whose value the level fixes (``form``; a derived level's ``stem`` and
+   its template's values).  Any other path keeps the parse if some sense
+   of a lexical level's category holds that name, as the database's table
+   of carried names says, and eliminates it otherwise.  So the phase never
+   removes a parse the final filter would keep.  A query that restricts
+   neither block passes every parse on and builds nothing,
 4. retrieval: every sense of the root is fetched, inflections are unified
    into a copy of its ``morph`` block, derived levels are folded around the
-   stem using the category's template, and the full query finally filters
-   the results.
+   stem using the category's template, and every result's ``phon`` is set
+   to the surface.  The rest of the query finally filters the results; a
+   query of ``phon`` alone keeps them all.
+
+Phases 1 and 2 depend on the surface alone, so the engine does them once
+per surface of its analyzer table and keeps the outcome as that surface's
+plan (see :meth:`LexiconEngine.plan`); each query's trace gets fresh lists
+of the plan's own objects.
 
 Results share the database's unchanged nodes, the sense's and the
 template's, so they are read-only; a caller who wants to change one
@@ -47,7 +59,7 @@ from .featstruct import (
     subsumes,
     unify,
 )
-from .fsdb import Database, LexiconEntry, load as load_db, lookup, lookup_template
+from .fsdb import Database, LexiconEntry, carried, load as load_db, lookup, lookup_template
 from .morph import AnalyzerTable, Level
 
 
@@ -143,25 +155,80 @@ def partial_outer_fs(tp: tuple, surface: str) -> FeatStruct:
     return FeatStruct([("cat", cat.as_fs()), ("morph", morph), ("phon", surface)])
 
 
-def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace) -> list:
-    """Drop parses whose outermost level already contradicts the query.
+def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace,
+                 db: Database) -> list:
+    """Drop parses whose outermost level already rules out the query.
 
     Only the query's ``cat`` and ``morph`` blocks take part: the partial
     structure knows nothing about syn or sem, and those must not cause
     eliminations here.  A query with neither keeps every parse without
-    building a partial structure, since an empty restriction subsumes any.
+    building a partial structure.  Each path ``block|name`` of the two
+    blocks is checked (:func:`_may_satisfy`) so that a parse is eliminated
+    only where the final filter would drop each of its results.
     """
-    restriction = project(query_fs, ("cat", "morph"))
-    if not restriction:
+    if "cat" not in query_fs and "morph" not in query_fs:
         return list(tps)
+    restriction = project(query_fs, ("cat", "morph"))
     keep = []
     for tp in tps:
         partial = partial_outer_fs(tp, surface)
-        if subsumes(restriction, partial):
+        if _may_satisfy(restriction, partial, tp, db):
             keep.append(tp)
         else:
             trace.eliminated.append(partial)
     return keep
+
+
+def _may_satisfy(restriction: FeatStruct, partial: FeatStruct, tp: tuple,
+                 db: Database) -> bool:
+    """Whether a retrieved structure of ``tp`` may satisfy ``restriction``.
+
+    A path the partial structure holds must meet its value there: the
+    retrieved structure holds the same value or, where a sense's own value
+    met the inflection, a narrower one.  A path it lacks is checked by
+    :func:`_may_hold`.  A ``cat`` or ``morph`` restriction that is not a
+    structure matches no retrieved block.
+    """
+    for block, wanted in restriction.items():
+        if type(wanted) is not FeatStruct:
+            return False
+        have = partial[block]
+        for name, value in wanted.items():
+            if name in have:
+                if not subsumes(value, have[name]):
+                    return False
+            elif not _may_hold(db, tp, block, name, value):
+                return False
+    return True
+
+
+def _may_hold(db: Database, tp: tuple, block: str, name: str, value) -> bool:
+    """Whether a retrieved structure of the parse's outermost level may meet
+    ``value`` at ``block|name``, a path its partial structure lacks.
+
+    Where the level fixes the value, it must meet it: every sense holds
+    ``morph|form:lexical``, and a derived level holds ``form:derived``, its
+    stem's structure at ``stem`` and its template's value anywhere else.
+    A lexical level's other values are its senses', so a name that some
+    sense of its category holds there (:func:`~turklex.fsdb.carried`) keeps
+    the parse.
+    Any other path eliminates it: the final filter's subsumption is
+    closed-world.
+    """
+    cat = tp[-1][1]
+    if len(tp) == 1:
+        if block == "morph" and name == "form":
+            return subsumes(value, "lexical")
+        return name in carried(db, cat, block)
+    template = lookup_template(db, cat)
+    if template is None:
+        return False  # the level is dropped in retrieval
+    if block == "morph" and name == "form":
+        return subsumes(value, "derived")
+    if block == "morph" and name == "stem":
+        return type(value) is FeatStruct  # nothing else meets a structure
+    held = template.get(block, {}).get(name)
+    return held is not None and subsumes(value, held)
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +356,16 @@ def inflect(entry: LexiconEntry, inflections: FeatStruct) -> Optional[FeatStruct
 
 
 def final_filter(results, query_fs: FeatStruct) -> list:
-    """Keep the structures the full query subsumes."""
-    return [fs for fs in results if subsumes(query_fs, fs)]
+    """Keep the structures the full query subsumes.
+
+    :func:`retrieve` sets each result's ``phon`` to the query's, so only the
+    rest of the query is checked, and a query of ``phon`` alone keeps every
+    result.
+    """
+    rest = FeatStruct([(name, value) for name, value in query_fs.items() if name != "phon"])
+    if not rest:
+        return list(results)
+    return [fs for fs in results if subsumes(rest, fs)]
 
 
 # --------------------------------------------------------------------------
@@ -298,10 +373,18 @@ def final_filter(results, query_fs: FeatStruct) -> list:
 
 @dataclass
 class LexiconEngine:
+    """The four phases over one set of tables.
+
+    ``plans`` keeps the plan of each analyzer surface queried so far (see
+    :meth:`plan`).  It is not an argument: ``dataclasses.replace(engine,
+    analyzer=other)`` gives an engine that plans afresh from ``other``.
+    """
+
     analyzer: AnalyzerTable
     rootmap: RootMapTable
     derivmap: DerivMapTable
     db: Database
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_paths(cls, analyzer_path, rootmap_path, derivmap_path, db_path,
@@ -324,6 +407,30 @@ class LexiconEngine:
             inventory_path=bundled_path("categories.tsv"),
         )
 
+    def plan(self, surface: str) -> tuple:
+        """Phases 1 and 2 for ``surface``: the tuples of its parses, of the
+        ``(level, cat)`` pairs tried and of the transformed parses.
+
+        They read only the analyzer and mapping tables, so a surface's plan
+        is made once and kept in ``plans``.  A surface with no parse has the
+        empty plan, which is not kept, so ``plans`` holds at most one plan
+        per analyzer surface.  The tables are not to be changed in place
+        once a plan is made.
+        """
+        plan = self.plans.get(surface)
+        if plan is None:
+            parses = self.analyzer.lookup(surface)
+            if not parses:
+                return (), (), ()
+            trace = QueryTrace(surface=surface, parses=parses)
+            for parse in parses:
+                tp = transform(parse, self.rootmap, self.derivmap, trace)
+                if tp is not None:
+                    trace.transformed.append(tp)
+            plan = tuple(parses), tuple(trace.mappings), tuple(trace.transformed)
+            self.plans[surface] = plan
+        return plan
+
     def run(self, query_fs: FeatStruct, use_early_filter: bool = True) -> QueryTrace:
         """Answer a query, returning the full trace (results included)."""
         if not isinstance(query_fs, FeatStruct):
@@ -332,16 +439,12 @@ class LexiconEngine:
         if not isinstance(phon, str):
             raise QueryError("query must specify an atomic phon feature")
 
-        trace = QueryTrace(surface=phon)
-        trace.parses = self.analyzer.lookup(phon)
-
-        for parse in trace.parses:
-            tp = transform(parse, self.rootmap, self.derivmap, trace)
-            if tp is not None:
-                trace.transformed.append(tp)
+        parses, mappings, transformed = self.plan(phon)
+        trace = QueryTrace(surface=phon, parses=list(parses), mappings=list(mappings),
+                           transformed=list(transformed))
 
         if use_early_filter:
-            trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace)
+            trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace, self.db)
         else:
             trace.satisfying = list(trace.transformed)
 
@@ -353,4 +456,3 @@ class LexiconEngine:
 
     def query(self, query_fs: FeatStruct, use_early_filter: bool = True) -> list:
         return self.run(query_fs, use_early_filter=use_early_filter).results
-

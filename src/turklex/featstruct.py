@@ -676,9 +676,7 @@ def subsumes(general, specific) -> bool:
         if not isinstance(specific, FSSet):
             return False
         return all(any(subsumes(g, s) for s in specific) for g in general)
-    if type(specific) in _NODE_TYPES:
-        return False
-    # leaf against leaf: compatible iff they meet (pure for leaves)
+    # a leaf: compatible iff it meets ``specific``, and no leaf meets a node
     return _meet_atoms(general, specific) is not None
 
 

@@ -65,6 +65,20 @@ class TestQuery:
         assert "Parse eliminated: Printing only the last level..." in result.output
         assert "Number of feature structures: 1" in result.output
 
+    @pytest.mark.parametrize(
+        "query", ["[phon:kazma]", "[phon:memnunum, cat:[maj:verb]]", "[phon:atacak]"]
+    )
+    def test_repeated_query_renders_the_same_full_trace(self, runner, engine, monkeypatch,
+                                                         query):
+        args = ["query", query, "--trace", "full"]
+        fresh = runner.invoke(main, args)  # an engine of its own, with no plan yet
+        # then one engine answers both runs, so the second reads its plan
+        monkeypatch.setattr("turklex.cli._load_engine", lambda config: engine)
+        first, second = runner.invoke(main, args), runner.invoke(main, args)
+        assert fresh.exit_code == first.exit_code == second.exit_code == 0
+        assert fresh.output == first.output == second.output
+        assert "Parsing surface form started..." in fresh.output
+
     def test_indented_style(self, runner):
         result = runner.invoke(
             main, ["query", "[phon:akIllIca]", "--trace", "silent", "--style", "indented"]

@@ -37,7 +37,7 @@ from turklex.featstruct import (
     render_fs,
     subsumes,
 )
-from turklex.fsdb import Database, TemplateEntry, clause_line, dumps, lookup
+from turklex.fsdb import Database, TemplateEntry, carried, clause_line, dumps, lookup
 from turklex.morph import AnalyzerTable, Level, parse_parse_string
 
 from .test_featstruct import holds_none
@@ -168,26 +168,29 @@ class TestEarlyFilter:
         assert get_path(partial, "morph|stem") is None
         assert get_path(partial, "morph|tam2") == "pres"
 
-    def test_no_restriction_keeps_everything(self):
+    def test_no_restriction_keeps_everything(self, engine):
         tps = [(mapped(COMMON, "at"),)]
-        assert early_filter(tps, q("[phon:atIm]"), "atIm", QueryTrace(surface="atIm")) == tps
+        assert early_filter(tps, q("[phon:atIm]"), "atIm", QueryTrace(surface="atIm"),
+                            engine.db) == tps
 
-    def test_value_conflict_eliminates(self):
+    def test_value_conflict_eliminates(self, engine):
         tps = [(mapped(COMMON, "at", [("poss", "none")]),)]
         assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
-                            QueryTrace(surface="atIm")) == []
+                            QueryTrace(surface="atIm"), engine.db) == []
 
-    def test_absence_eliminates(self):
-        # closed-world: a level without poss cannot satisfy a poss restriction
+    def test_absence_eliminates(self, engine):
+        # a level without poss, whose category's senses carry no poss either,
+        # cannot satisfy a poss restriction: the final filter is closed-world
+        assert "poss" not in carried(engine.db, COMMON, "morph")
         tps = [(mapped(COMMON, "at", [("agr", "3sg")]),)]
         assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
-                            QueryTrace(surface="atIm")) == []
+                            QueryTrace(surface="atIm"), engine.db) == []
 
-    def test_sem_restrictions_do_not_eliminate(self):
+    def test_sem_restrictions_do_not_eliminate(self, engine):
         # the partial structure has no sem block, so sem must wait for phase 4
         tps = [(mapped(COMMON, "at"),)]
         kept = early_filter(tps, q("[phon:atIm, sem:[animate:'-']]"), "atIm",
-                            QueryTrace(surface="atIm"))
+                            QueryTrace(surface="atIm"), engine.db)
         assert kept == tps
 
     @pytest.fixture
@@ -222,9 +225,103 @@ class TestEarlyFilter:
     def test_elimination_recorded(self, engine):
         trace = QueryTrace(surface="atIm")
         tps = [(mapped(COMMON, "at", [("poss", "none")]),)]
-        early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm", trace)
+        early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm", trace, engine.db)
         (partial,) = trace.eliminated
         assert get_path(partial, "morph|poss") == "none"
+
+
+class TestSoundRestriction:
+    """A parse is eliminated early only if the final filter would drop each
+    of its results: a path its partial structure lacks keeps it when the
+    level can carry the name."""
+
+    @pytest.mark.parametrize(
+        "query",
+        # form is set in retrieval, copula is a template default of the verb
+        ["[phon:kazma, morph:[form:derived]]", "[phon:atIm, morph:[copula:none]]"],
+    )
+    def test_a_name_the_level_carries_keeps_the_parse(self, engine, query):
+        for early in (True, False):
+            assert len(engine.query(q(query), use_early_filter=early)) == 1
+
+    @pytest.mark.parametrize(
+        "query, eliminated, concepts",
+        [
+            # every sense holds form:lexical, and every derived level form:derived
+            ("[phon:kazma, morph:[form:lexical]]", 1, ["kazma-(pickaxe)", "kaz-(dig)"]),
+            ("[phon:kazma, morph:[form:derived]]", 2, ["f_ma(kaz-(dig))"]),
+            # a derived level's stem is a structure, which no atom meets ...
+            ("[phon:kazma, morph:[stem:kaz]]", 2, ["kaz-(dig)"]),
+            # ... and a structure may
+            ("[phon:kazma, morph:[stem:[cat:[maj:verb]]]]", 2, ["f_ma(kaz-(dig))"]),
+            # the verb's template fixes copula:none
+            ("[phon:atIm, morph:[copula:pres]]", 2, []),
+        ],
+    )
+    def test_a_value_the_level_fixes_is_checked(self, engine, query, eliminated, concepts):
+        trace = engine.run(q(query))
+        assert len(trace.eliminated) == eliminated
+        assert [repr(fs["sem"]["concept"]) for fs in trace.results] == concepts
+        late = engine.query(q(query), use_early_filter=False)
+        assert list(map(render_fs, late)) == list(map(render_fs, trace.results))
+
+    def test_a_sixth_cat_name_of_an_entry_is_carried(self, tmp_path):
+        for name in DATA_FILES:
+            shutil.copy(bundled_path(name), tmp_path / name)
+        db = tmp_path / "lexicon.fdb"
+        text = db.read_text(encoding="utf-8")
+        old = "entry nominal,noun,common,none,none at := [cat:[maj:nominal, min:noun, " \
+              "sub:common, ssub:none, sssub:none]"
+        assert old in text
+        db.write_text(text.replace(old, f"{old[:-1]}, extra:x]"), encoding="utf-8")
+        engine = _engine_in(tmp_path)
+
+        query = q("[phon:atIm, cat:[extra:x]]")
+        trace = engine.run(query)
+        (noun,) = trace.results
+        assert get_path(noun, "cat|extra") == "x"
+        # the verb derived from at takes its cat from a template without it
+        (partial,) = trace.eliminated
+        assert get_path(partial, "cat|maj") == "verb"
+        assert list(map(render_fs, engine.query(query, use_early_filter=False))) == [
+            render_fs(noun)
+        ]
+
+
+class TestPlans:
+    def test_a_trace_owns_its_lists(self, engine):
+        query = q("[phon:kazma]")
+        first = engine.run(query)
+        plan = [list(first.parses), list(first.mappings), list(first.transformed)]
+        first.parses.pop()
+        first.mappings.append(first.mappings[0])
+        first.transformed.reverse()
+        second = engine.run(query)
+        for got, want in zip((second.parses, second.mappings, second.transformed), plan):
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    def test_one_plan_per_analyzer_surface(self, engine):
+        fresh = dataclasses.replace(engine)
+        assert fresh.plans == {}
+        fresh.run(q("[phon:denizlerde]"))
+        assert fresh.plans == {}
+        for surface in engine.analyzer.surfaces():
+            fresh.run(FeatStruct([("phon", surface)]))
+            fresh.run(q(f"[phon:{surface}, morph:[case:nom]]"))
+        assert set(fresh.plans) == set(engine.analyzer.surfaces())
+
+    def test_replace_answers_from_the_other_analyzer(self, engine, tmp_path):
+        engine.run(q("[phon:atIm]"))  # so that atIm has a plan
+        path = tmp_path / "analyzer.tsv"
+        path.write_text("atIm\t[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=1SG][CASE=NOM]]\n",
+                        encoding="utf-8")
+        other = dataclasses.replace(engine, analyzer=AnalyzerTable.load(path))
+        assert other.plans == {}
+        (parse,) = other.analyzer.parses["atIm"]
+        trace = other.run(q("[phon:atIm]"))
+        assert trace.parses == [parse] and trace.parses[0] is parse
+        assert [repr(fs["sem"]["concept"]) for fs in trace.results] == ["at-(horse)"]
+        assert len(engine.run(q("[phon:atIm]")).parses) == 3
 
 
 class TestBuildDerived:
