@@ -15,20 +15,14 @@ four phases:
    partial structure holds must meet its value there, and so must a path
    whose value the level fixes (``form``; a derived level's ``stem`` and
    its template's values).  Any other path keeps the parse if some sense
-   of a lexical level's category holds that name, as the database's table
-   of carried names says, and eliminates it otherwise.  So the phase never
-   removes a parse the final filter would keep.  A query that restricts
-   neither block passes every parse on and builds nothing,
+   of a lexical level's own root holds that name, and eliminates it
+   otherwise.  So the phase never removes a parse the final filter would
+   keep.  A query that restricts neither block passes every parse on and
+   builds nothing,
 4. retrieval: every sense of the root is fetched, inflections are unified
    into a copy of its ``morph`` block, derived levels are folded around the
    stem using the category's template, and every result's ``phon`` is set
-   to the surface.  The rest of the query finally filters the results; a
-   query of ``phon`` alone keeps them all.
-
-Phases 1 and 2 depend on the surface alone, so the engine does them once
-per surface of its analyzer table and keeps the outcome as that surface's
-plan (see :meth:`LexiconEngine.plan`); each query's trace gets fresh lists
-of the plan's own objects.
+   to the surface.  The rest of the query finally filters the results.
 
 Results share the database's unchanged nodes, the sense's and the
 template's, so they are read-only; a caller who wants to change one
@@ -59,7 +53,7 @@ from .featstruct import (
     subsumes,
     unify,
 )
-from .fsdb import Database, LexiconEntry, carried, load as load_db, lookup, lookup_template
+from .fsdb import Database, LexiconEntry, load as load_db, lookup, lookup_template
 from .morph import AnalyzerTable, Level
 
 
@@ -166,9 +160,9 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace,
     blocks is checked (:func:`_may_satisfy`) so that a parse is eliminated
     only where the final filter would drop each of its results.
     """
-    if "cat" not in query_fs and "morph" not in query_fs:
-        return list(tps)
     restriction = project(query_fs, ("cat", "morph"))
+    if not restriction:
+        return list(tps)
     keep = []
     for tp in tps:
         partial = partial_outer_fs(tp, surface)
@@ -209,9 +203,8 @@ def _may_hold(db: Database, tp: tuple, block: str, name: str, value) -> bool:
     Where the level fixes the value, it must meet it: every sense holds
     ``morph|form:lexical``, and a derived level holds ``form:derived``, its
     stem's structure at ``stem`` and its template's value anywhere else.
-    A lexical level's other values are its senses', so a name that some
-    sense of its category holds there (:func:`~turklex.fsdb.carried`) keeps
-    the parse.
+    A lexical level's other values are its root's senses', so a name that
+    one of them holds there keeps the parse.
     Any other path eliminates it: the final filter's subsumption is
     closed-world.
     """
@@ -219,7 +212,8 @@ def _may_hold(db: Database, tp: tuple, block: str, name: str, value) -> bool:
     if len(tp) == 1:
         if block == "morph" and name == "form":
             return subsumes(value, "lexical")
-        return name in carried(db, cat, block)
+        senses = db.entries.get((cat, tp[0][0].name), ())
+        return any(name in entry.fs[block] for entry in senses)
     template = lookup_template(db, cat)
     if template is None:
         return False  # the level is dropped in retrieval
@@ -359,12 +353,10 @@ def final_filter(results, query_fs: FeatStruct) -> list:
     """Keep the structures the full query subsumes.
 
     :func:`retrieve` sets each result's ``phon`` to the query's, so only the
-    rest of the query is checked, and a query of ``phon`` alone keeps every
-    result.
+    rest of the query is checked.
     """
-    rest = FeatStruct([(name, value) for name, value in query_fs.items() if name != "phon"])
-    if not rest:
-        return list(results)
+    rest = FeatStruct(query_fs)
+    rest.pop("phon", None)
     return [fs for fs in results if subsumes(rest, fs)]
 
 
@@ -373,18 +365,10 @@ def final_filter(results, query_fs: FeatStruct) -> list:
 
 @dataclass
 class LexiconEngine:
-    """The four phases over one set of tables.
-
-    ``plans`` keeps the plan of each analyzer surface queried so far (see
-    :meth:`plan`).  It is not an argument: ``dataclasses.replace(engine,
-    analyzer=other)`` gives an engine that plans afresh from ``other``.
-    """
-
     analyzer: AnalyzerTable
     rootmap: RootMapTable
     derivmap: DerivMapTable
     db: Database
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_paths(cls, analyzer_path, rootmap_path, derivmap_path, db_path,
@@ -407,30 +391,6 @@ class LexiconEngine:
             inventory_path=bundled_path("categories.tsv"),
         )
 
-    def plan(self, surface: str) -> tuple:
-        """Phases 1 and 2 for ``surface``: the tuples of its parses, of the
-        ``(level, cat)`` pairs tried and of the transformed parses.
-
-        They read only the analyzer and mapping tables, so a surface's plan
-        is made once and kept in ``plans``.  A surface with no parse has the
-        empty plan, which is not kept, so ``plans`` holds at most one plan
-        per analyzer surface.  The tables are not to be changed in place
-        once a plan is made.
-        """
-        plan = self.plans.get(surface)
-        if plan is None:
-            parses = self.analyzer.lookup(surface)
-            if not parses:
-                return (), (), ()
-            trace = QueryTrace(surface=surface, parses=parses)
-            for parse in parses:
-                tp = transform(parse, self.rootmap, self.derivmap, trace)
-                if tp is not None:
-                    trace.transformed.append(tp)
-            plan = tuple(parses), tuple(trace.mappings), tuple(trace.transformed)
-            self.plans[surface] = plan
-        return plan
-
     def run(self, query_fs: FeatStruct, use_early_filter: bool = True) -> QueryTrace:
         """Answer a query, returning the full trace (results included)."""
         if not isinstance(query_fs, FeatStruct):
@@ -439,9 +399,13 @@ class LexiconEngine:
         if not isinstance(phon, str):
             raise QueryError("query must specify an atomic phon feature")
 
-        parses, mappings, transformed = self.plan(phon)
-        trace = QueryTrace(surface=phon, parses=list(parses), mappings=list(mappings),
-                           transformed=list(transformed))
+        trace = QueryTrace(surface=phon)
+        trace.parses = self.analyzer.lookup(phon)
+
+        for parse in trace.parses:
+            tp = transform(parse, self.rootmap, self.derivmap, trace)
+            if tp is not None:
+                trace.transformed.append(tp)
 
         if use_early_filter:
             trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace, self.db)

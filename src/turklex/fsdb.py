@@ -103,19 +103,12 @@ class TemplateEntry:
 
 
 class Database:
-    """In-memory database preserving clause order for canonical saves.
-
-    The names each category's senses hold in their ``cat`` and ``morph``
-    blocks are counted on the first call of :func:`carried`, and
-    ``add_entry`` and ``delete_entry`` keep the counts exact from then on;
-    a load that no restricted query follows never counts them.
-    """
+    """In-memory database preserving clause order for canonical saves."""
 
     def __init__(self):
         self.clauses: List[object] = []
         self.entries: Dict[Tuple[Cat5, str], List[LexiconEntry]] = {}
         self.templates: Dict[Cat5, TemplateEntry] = {}
-        self.carried_counts: Optional[Dict[Tuple[Cat5, str], Dict[str, int]]] = None
 
     def __len__(self) -> int:
         """The number of clauses; the benchmark (``perfbench/run.py``) reports it."""
@@ -257,8 +250,6 @@ def add_entry(db: Database, entry: LexiconEntry) -> None:
     validate_entry(entry)
     db.clauses.append(entry)
     db.entries.setdefault((entry.cat, entry.root), []).append(entry)
-    if db.carried_counts is not None:
-        _count_carried(db.carried_counts, entry, 1)
 
 
 def delete_entry(db: Database, cat: Cat5, root: str, sense_index: int) -> LexiconEntry:
@@ -276,39 +267,7 @@ def delete_entry(db: Database, cat: Cat5, root: str, sense_index: int) -> Lexico
         del db.entries[key]
     # by identity: two senses may be equal, and only this one goes
     del db.clauses[next(i for i, clause in enumerate(db.clauses) if clause is entry)]
-    if db.carried_counts is not None:
-        _count_carried(db.carried_counts, entry, -1)
     return entry
-
-
-def carried(db: Database, cat: Cat5, block: str) -> Dict[str, int]:
-    """The names the senses of ``cat`` hold in their ``block``, ``cat`` or
-    ``morph``, each with the number of senses that hold it.
-
-    The engine's early restriction reads it: a retrieved structure of a
-    lexical level holds no other name there, beyond the parse's
-    inflections.  The first call counts every sense; the caller only reads
-    the result.
-    """
-    if db.carried_counts is None:
-        db.carried_counts = {}
-        for senses in db.entries.values():
-            for entry in senses:
-                _count_carried(db.carried_counts, entry, 1)
-    return db.carried_counts.get((cat, block), {})
-
-
-def _count_carried(counts: dict, entry: LexiconEntry, step: int) -> None:
-    """Add ``step`` to the count of each name of the entry's ``cat`` and
-    ``morph`` blocks in ``counts``; a name whose count reaches 0 goes."""
-    for block in ("cat", "morph"):
-        names = counts.setdefault((entry.cat, block), {})
-        for name in entry.fs[block]:
-            count = names.get(name, 0) + step
-            if count:
-                names[name] = count
-            else:
-                del names[name]
 
 
 def browse(db: Database, cat: Optional[Cat5] = None, root: Optional[str] = None) -> List[LexiconEntry]:

@@ -71,8 +71,8 @@ class TestQuery:
     def test_repeated_query_renders_the_same_full_trace(self, runner, engine, monkeypatch,
                                                          query):
         args = ["query", query, "--trace", "full"]
-        fresh = runner.invoke(main, args)  # an engine of its own, with no plan yet
-        # then one engine answers both runs, so the second reads its plan
+        fresh = runner.invoke(main, args)  # an engine of its own
+        # then one engine answers both runs
         monkeypatch.setattr("turklex.cli._load_engine", lambda config: engine)
         first, second = runner.invoke(main, args), runner.invoke(main, args)
         assert fresh.exit_code == first.exit_code == second.exit_code == 0

@@ -6,9 +6,8 @@ and reload the engine, and query a drawn surface with or without a drawn
 ``cat``/``morph`` restriction.  After every step the engine's ``dumps`` is
 the model's lines, and each query's answer equals, by ``render_fs`` in
 order, the answer of an engine loaded afresh from the model's lines and
-the answer with the early restriction off.  That guards what the engine
-keeps across edits: its per-surface plans and the database's table of
-carried names.
+the answer with the early restriction off.  That guards the early
+restriction's reading of a root's senses across edits.
 """
 
 import shutil
@@ -34,7 +33,7 @@ from .test_engine import DATA_FILES, _engine_in, _synthetic_engine
 
 # (block, name, value) changes of an added sense: a gloss of its own, or a
 # value under a name the copied sense may not hold; hint and extra are held
-# by no bundled sense, so they enter the table of carried names afresh
+# by no bundled sense
 CHANGES = [
     ("sem", "concept", "copy"),
     ("morph", "hint", "x"),

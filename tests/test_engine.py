@@ -37,7 +37,7 @@ from turklex.featstruct import (
     render_fs,
     subsumes,
 )
-from turklex.fsdb import Database, TemplateEntry, carried, clause_line, dumps, lookup
+from turklex.fsdb import Database, TemplateEntry, clause_line, dumps, lookup
 from turklex.morph import AnalyzerTable, Level, parse_parse_string
 
 from .test_featstruct import holds_none
@@ -179,9 +179,9 @@ class TestEarlyFilter:
                             QueryTrace(surface="atIm"), engine.db) == []
 
     def test_absence_eliminates(self, engine):
-        # a level without poss, whose category's senses carry no poss either,
+        # a level without poss, whose root's senses carry no poss either,
         # cannot satisfy a poss restriction: the final filter is closed-world
-        assert "poss" not in carried(engine.db, COMMON, "morph")
+        assert not any("poss" in entry.fs["morph"] for entry in lookup(engine.db, COMMON, "at"))
         tps = [(mapped(COMMON, "at", [("agr", "3sg")]),)]
         assert early_filter(tps, q("[phon:atIm, morph:[poss:'1sg']]"), "atIm",
                             QueryTrace(surface="atIm"), engine.db) == []
@@ -286,42 +286,24 @@ class TestSoundRestriction:
         assert list(map(render_fs, engine.query(query, use_early_filter=False))) == [
             render_fs(noun)
         ]
+        # the check reads the parse's own root: no sense of ek holds the name
+        other = engine.run(q("[phon:ekim, cat:[extra:x]]"))
+        assert other.transformed and len(other.eliminated) == len(other.transformed)
+        assert other.results == engine.query(q("[phon:ekim, cat:[extra:x]]"),
+                                             use_early_filter=False) == []
 
 
-class TestPlans:
+class TestTraceLists:
     def test_a_trace_owns_its_lists(self, engine):
         query = q("[phon:kazma]")
         first = engine.run(query)
-        plan = [list(first.parses), list(first.mappings), list(first.transformed)]
+        before = [list(first.parses), list(first.mappings), list(first.transformed)]
         first.parses.pop()
         first.mappings.append(first.mappings[0])
         first.transformed.reverse()
         second = engine.run(query)
-        for got, want in zip((second.parses, second.mappings, second.transformed), plan):
-            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
-
-    def test_one_plan_per_analyzer_surface(self, engine):
-        fresh = dataclasses.replace(engine)
-        assert fresh.plans == {}
-        fresh.run(q("[phon:denizlerde]"))
-        assert fresh.plans == {}
-        for surface in engine.analyzer.surfaces():
-            fresh.run(FeatStruct([("phon", surface)]))
-            fresh.run(q(f"[phon:{surface}, morph:[case:nom]]"))
-        assert set(fresh.plans) == set(engine.analyzer.surfaces())
-
-    def test_replace_answers_from_the_other_analyzer(self, engine, tmp_path):
-        engine.run(q("[phon:atIm]"))  # so that atIm has a plan
-        path = tmp_path / "analyzer.tsv"
-        path.write_text("atIm\t[[CAT=NOUN][ROOT=at][AGR=3SG][POSS=1SG][CASE=NOM]]\n",
-                        encoding="utf-8")
-        other = dataclasses.replace(engine, analyzer=AnalyzerTable.load(path))
-        assert other.plans == {}
-        (parse,) = other.analyzer.parses["atIm"]
-        trace = other.run(q("[phon:atIm]"))
-        assert trace.parses == [parse] and trace.parses[0] is parse
-        assert [repr(fs["sem"]["concept"]) for fs in trace.results] == ["at-(horse)"]
-        assert len(engine.run(q("[phon:atIm]")).parses) == 3
+        for got, want in zip((second.parses, second.mappings, second.transformed), before):
+            assert got == want
 
 
 class TestBuildDerived:

@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import gc
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from turklex.fsdb import (
     LexiconEntry,
     add_entry,
     browse,
-    carried,
     clause_line,
     delete_entry,
     dumps,
@@ -578,28 +576,6 @@ class TestAddDelete:
         with pytest.raises(IndexError, match="2 sense"):
             delete_entry(db, COMMON, "ek", 5)
 
-    @pytest.mark.parametrize("counted_first", [False, True])
-    def test_carried_names_follow_adds_and_deletes(self, db, counted_first):
-        # a morph name only the added senses hold is carried until the last
-        # goes, whether the names were counted before the edits or after
-        if counted_first:
-            assert "hint" not in carried(db, COMMON, "morph")
-        first, second = make_entry(root="ek", concept="patch"), make_entry(root="at", concept="mare")
-        for entry in (first, second):
-            entry.fs["morph"]["hint"] = "x"
-            add_entry(db, entry)
-        assert carried(db, COMMON, "morph")["hint"] == 2
-        delete_entry(db, COMMON, "ek", 2)
-        assert carried(db, COMMON, "morph")["hint"] == 1
-        delete_entry(db, COMMON, "at", 1)
-        assert "hint" not in carried(db, COMMON, "morph")
-        senses = sum(len(s) for (cat, _), s in db.entries.items() if cat == COMMON)
-        assert carried(db, COMMON, "morph")["stem"] == senses
-        assert_consistent(db)
-
-    def test_a_load_counts_no_names(self, db):
-        assert db.carried_counts is None
-
     def test_delete_removes_that_sense_among_equal_ones(self, tmp_path):
         ek, el = make_entry("ek", "suffix"), make_entry("el", "hand")
         text = "".join(
@@ -764,14 +740,6 @@ def assert_consistent(db: Database) -> None:
         in_file = [c for c in db.clauses
                    if isinstance(c, LexiconEntry) and (c.cat, c.root) == key]
         assert all(a is b for a, b in zip(in_file, senses)) and len(in_file) == len(senses)
-    counts = {}
-    for senses in db.entries.values():
-        for entry in senses:
-            for block in ("cat", "morph"):
-                counts.setdefault((entry.cat, block), Counter()).update(entry.fs[block].keys())
-    if db.carried_counts is not None:
-        kept = {key: Counter(names) for key, names in db.carried_counts.items() if names}
-        assert kept == counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -781,8 +749,6 @@ def test_stored_lines_match_a_fresh_render(tmp_path_factory, data):
     # a few words, so that equal senses of one word meet often
     words = [(COMMON, "ek"), (COMMON, "at"), (PRED, "ye")]
     pool = [e for word in words for e in db.entries[word]]
-    if data.draw(st.booleans(), label="count carried names first"):
-        carried(db, COMMON, "morph")
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
         present = [word for word in words if word in db.entries]
         if present and data.draw(st.booleans(), label="delete"):
