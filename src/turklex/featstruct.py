@@ -93,6 +93,11 @@ class BaseConcept(Concept):
         return f"{self.root}-({self.gloss})"
 
 
+# Suffixes already found writable: retrieval builds derived concepts from
+# the same few analyzer suffixes again and again, so each is checked once.
+_WRITABLE_SUFFIXES: set = set()
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class DerivedConcept(Concept):
     """Concept built by a derivational suffix: ``f_suffix(inner)``.
@@ -107,8 +112,11 @@ class DerivedConcept(Concept):
     inner: Concept
 
     def __post_init__(self):
-        if not _ATOM_RE.fullmatch("f_" + self.suffix) or self.suffix.endswith("-"):
-            raise ValueError(f"derived concept suffix {self.suffix!r} cannot be written")
+        suffix = self.suffix
+        if suffix not in _WRITABLE_SUFFIXES:
+            if not _ATOM_RE.fullmatch("f_" + suffix) or suffix.endswith("-"):
+                raise ValueError(f"derived concept suffix {suffix!r} cannot be written")
+            _WRITABLE_SUFFIXES.add(suffix)
         if not isinstance(self.inner, Concept):
             raise ValueError("derived concept must wrap a concept")
 

@@ -38,6 +38,13 @@ a shared set: the engine unifies copies, ``retrieve`` hands a sense's sets
 on in read-only results, and ``fill_entry_defaults`` changes only the
 clause's own root, ``syn`` and ``sem`` structures.
 
+A save is atomic: :func:`save` encodes the whole text first, writes it to
+a temporary file beside the target with ``os.open``/``os.write``, gives it
+the target's permission bits with ``fchmod`` and renames it over the target.
+It follows a symlink to the file the link names, and resolves the path
+(``realpath``) only when ``lstat`` finds a link, so a plain save costs
+``lstat``, ``open``, ``fchmod``, ``write``, ``close`` and ``rename``.
+
 A clause whose canonical line would hold a line break cannot be saved in
 this line-based format: ``clause_line`` raises :class:`InvariantError`, so
 ``save`` fails before it writes.  ``load`` reads whole stripped lines
@@ -48,10 +55,11 @@ naming ``path:line``.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import re
-import shutil
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -378,24 +386,51 @@ def dumps(db: Database) -> str:
 
 
 def save(db: Database, path) -> None:
-    """Write the database to ``path`` in canonical form.
+    """Write the database to ``path`` in canonical form, atomically.
 
-    The text is rendered first and written to a temporary file beside the
-    target, which then replaces it in one rename: a failure or a killed
-    process leaves the old file or the new one, never a truncated one.  As
-    with a write in place, a symlink is followed and an existing target
-    keeps its permission bits.
+    The text is rendered and encoded before any file is touched, so a
+    failed render writes nothing.  Then, a system call a step:
+
+    1. ``lstat`` the path.  Only if it is a symlink does ``realpath``
+       resolve its whole chain, and ``stat`` read the file that names; so a
+       save through a link writes the link's target, a dangling link
+       included, and every link stays a link.
+    2. ``open`` a temporary file ``<target>.<pid>.tmp`` beside the target
+       with mode ``0o666`` less the umask, as a write in place creates it.
+    3. ``fchmod`` it to the target's permission bits, if the target exists.
+    4. ``write`` the bytes until all are written, then ``close``.
+    5. ``rename`` it over the target (``os.replace``).
+
+    A failure or a killed process leaves the old file or the new one, never
+    a truncated one, and a failure after the open removes the temporary
+    file.  Nothing is synced to the disk: the rename is atomic, but a power
+    loss may still lose a save that returned.
     """
-    text = dumps(db)
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    data = dumps(db).encode("utf-8")
+    target = path
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and stat.S_ISLNK(mode):
+        target = os.path.realpath(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:  # a dangling link: write what it names
+            mode = None
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise

@@ -293,6 +293,29 @@ class TestSoundRestriction:
                                              use_early_filter=False) == []
 
 
+class TestSequenceAndSetRestrictions:
+    """The final filter compares a ``subcat`` sequence member by member and
+    a constraint set by its members: a shorter sequence, or a member whose
+    constraint set differs, leaves none of kaz's two verb readings."""
+
+    @pytest.mark.parametrize(
+        "query, concepts",
+        [
+            ("[phon:kazma, syn:[subcat:<[syn-role:subject]>]]", []),
+            ("[phon:kazma, syn:[subcat:<[syn-role:subject], [syn-role:dir-obj], []>]]", []),
+            ("[phon:kazma, syn:[subcat:<[syn-role:subject], [syn-role:dir-obj]>]]",
+             ["kaz-(dig)", "f_ma(kaz-(dig))"]),
+            ("[phon:kazma, syn:[subcat:<[constraints:{[morph:[case:dat]]}], []>]]", []),
+            ("[phon:kazma, syn:[subcat:<[constraints:{[morph:[case:nom]]}], []>]]",
+             ["kaz-(dig)", "f_ma(kaz-(dig))"]),
+        ],
+    )
+    def test_subcat_is_matched_whole(self, engine, query, concepts):
+        for early in (True, False):
+            results = engine.query(q(query), use_early_filter=early)
+            assert [repr(fs["sem"]["concept"]) for fs in results] == concepts
+
+
 class TestTraceLists:
     def test_a_trace_owns_its_lists(self, engine):
         query = q("[phon:kazma]")

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turklex import featstruct
 from turklex.featstruct import (
     BaseConcept,
     DerivedConcept,
@@ -82,6 +83,16 @@ def test_node_equality_is_fs_equal():
     assert repr(Seq(["a", FeatStruct({"b": "c"})])) == "<a, [b:c]>"
 
 
+def test_fs_equal_compares_lengths_and_set_members():
+    a, b = FeatStruct({"a": "x"}), FeatStruct({"a": "y"})
+    assert not fs_equal(Seq([a]), Seq([a, b])) and not fs_equal(Seq([a, b]), Seq([a]))
+    assert not fs_equal(FSSet([a]), FSSet([a, b])) and not fs_equal(FSSet([a, b]), FSSet([a]))
+    # same size, different members
+    assert not fs_equal(FSSet([a]), FSSet([b]))
+    assert not fs_equal(FSSet([a, a]), FSSet([a, b]))
+    assert fs_equal(FSSet([a, b]), FSSet([FeatStruct({"a": "y"}), FeatStruct({"a": "x"})]))
+
+
 def test_leaves_that_cannot_be_written_are_rejected():
     with pytest.raises(ValueError, match="not plain"):
         Neg("x y")
@@ -102,6 +113,31 @@ def test_leaves_that_cannot_be_written_are_rejected():
     # an atom holding ' is a plain str, so only its rendering shows the limit
     with pytest.raises(FSSyntaxError):
         parse_fs_text(render_fs(FeatStruct({"a": "it's"})))
+
+
+@pytest.mark.parametrize("good_first", [True, False])
+def test_derived_suffix_is_checked_once_and_a_bad_one_always_fails(monkeypatch, good_first):
+    horse = BaseConcept("at", "horse")
+    checked = []
+    atom_re = featstruct._ATOM_RE
+
+    class CountingAtomRe:
+        def fullmatch(self, text):
+            checked.append(text)
+            return atom_re.fullmatch(text)
+
+    monkeypatch.setattr(featstruct, "_ATOM_RE", CountingAtomRe())
+    monkeypatch.setattr(featstruct, "_WRITABLE_SUFFIXES", set())
+    order = ["lI", "a b"] if good_first else ["a b", "lI"]
+    for suffix in order * 2:
+        if suffix == "lI":
+            assert DerivedConcept(suffix, horse).suffix == "lI"
+        else:
+            with pytest.raises(ValueError, match="cannot be written"):
+                DerivedConcept(suffix, horse)
+    # the good suffix is checked once, the bad one each time
+    assert sorted(checked) == ["f_a b", "f_a b", "f_lI"]
+    assert featstruct._WRITABLE_SUFFIXES == {"lI"}
 
 
 def test_leaves_are_immutable_and_equal_only_their_own_type():
@@ -442,6 +478,13 @@ def test_unify_atom_conflict():
     assert unify(parse_fs_text("[a:x]"), parse_fs_text("[a:y]")) is None
 
 
+def test_unify_sequences_of_different_lengths_fails():
+    short, long = parse_fs_text("[s:<a>]"), parse_fs_text("[s:<a, b>]")
+    assert unify(short, long) is None
+    assert unify(long, short) is None
+    assert unify(long, parse_fs_text("[s:<a, {b, c}>]")) == long
+
+
 def test_unify_does_not_mutate_operands():
     a = parse_fs_text("[m:[x:p]]")
     b = parse_fs_text("[m:[y:q]]")
@@ -682,6 +725,19 @@ def test_subsumes_atomic_transitivity_spot():
     b = parse_fs_text("[x:[y:p], z:q]")
     c = parse_fs_text("[x:[y:p], z:q, w:r]")
     assert subsumes(a, b) and subsumes(b, c) and subsumes(a, c)
+
+
+def test_subsumes_compares_sequences_and_sets_member_by_member():
+    subject, obj = parse_fs_text("[syn-role:subject]"), parse_fs_text("[syn-role:dir-obj]")
+    # a constraint set needs a match for each member, in a constraint set
+    general = FSSet([parse_fs_text("[case:dat]")])
+    assert subsumes(general, FSSet([parse_fs_text("[case:dat, x:y]")]))
+    assert not subsumes(general, FSSet([parse_fs_text("[case:nom]"), subject]))
+    assert not subsumes(general, Seq([parse_fs_text("[case:dat]")]))
+    # a sequence needs the same length, whichever side is longer
+    assert subsumes(Seq([subject, obj]), Seq([subject, obj]))
+    assert not subsumes(Seq([subject]), Seq([subject, obj]))
+    assert not subsumes(Seq([subject, obj]), Seq([subject]))
 
 
 # ----------------------------------------------------------- paths, project

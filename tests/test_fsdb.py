@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -682,6 +683,80 @@ class TestSaveLoad:
         save(db, link)
         assert link.is_symlink()
         assert target.read_text(encoding="utf-8") == dumps(db)
+
+    @pytest.fixture()
+    def umask_002(self):
+        """Umask 002, under which a new file's default mode, 664, differs
+        from the 644 of the more usual umask 022."""
+        old = os.umask(0o002)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_the_umask_default_mode(self, db, tmp_path, umask_002):
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+        save(db, tmp_path / "lexicon.fdb")
+        mode = (tmp_path / "lexicon.fdb").stat().st_mode & 0o7777
+        assert mode == (tmp_path / "reference").stat().st_mode & 0o7777 == 0o664
+        assert (tmp_path / "lexicon.fdb").read_bytes() == dumps(db).encode("utf-8")
+
+    def test_save_through_a_chain_of_links_writes_the_final_target(self, db, tmp_path):
+        target = tmp_path / "lexicon.fdb"
+        target.write_text("stale\n", encoding="utf-8")
+        target.chmod(0o640)
+        middle, link = tmp_path / "middle.fdb", tmp_path / "link.fdb"
+        middle.symlink_to(target)
+        link.symlink_to(middle)
+        save(db, link)
+        assert link.is_symlink() and middle.is_symlink()
+        assert os.readlink(link) == str(middle) and os.readlink(middle) == str(target)
+        assert target.read_bytes() == dumps(db).encode("utf-8")
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.fdb", "link.fdb",
+                                                              "middle.fdb"]
+
+    def test_save_through_a_dangling_link_writes_the_file_it_names(self, db, tmp_path,
+                                                                   umask_002):
+        link = tmp_path / "link.fdb"
+        link.symlink_to(tmp_path / "lexicon.fdb")
+        save(db, link)
+        assert link.is_symlink()
+        assert (tmp_path / "lexicon.fdb").read_bytes() == dumps(db).encode("utf-8")
+        assert (tmp_path / "lexicon.fdb").stat().st_mode & 0o7777 == 0o664
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.fdb", "link.fdb"]
+
+    @pytest.mark.parametrize("call", ["write", "fchmod"])
+    def test_failure_after_the_temp_file_opens_removes_it(self, db, tmp_path, monkeypatch,
+                                                          call):
+        path = tmp_path / "lexicon.fdb"
+        save(db, path)
+        before = path.read_bytes()
+
+        def broken(*args):
+            raise OSError(f"{call} failed")
+
+        add_entry(db, make_entry())
+        monkeypatch.setattr(os, call, broken)
+        with pytest.raises(OSError, match=f"{call} failed"):
+            save(db, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lexicon.fdb"]
+
+    def test_short_writes_are_continued(self, db, tmp_path, monkeypatch):
+        sizes = []
+        write = os.write
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:1000]))
+
+        monkeypatch.setattr(os, "write", short_write)
+        save(db, tmp_path / "lexicon.fdb")
+        monkeypatch.undo()
+        data = dumps(db).encode("utf-8")
+        assert (tmp_path / "lexicon.fdb").read_bytes() == data
+        assert sizes == list(range(len(data), 0, -1000))
 
     def test_save_renders_only_new_clauses(self, db, monkeypatch):
         rendered = []
