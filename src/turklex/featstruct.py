@@ -179,12 +179,14 @@ class FSSyntaxError(ValueError):
 _NAME_RE = re.compile(r"[a-z][a-z0-9_-]*")
 _ATOM_RE = re.compile(r"[A-Za-z0-9_.+/-]+")
 _INT_RE = re.compile(r"\d+")
-# The common step ``name:atom`` followed by ``,`` or ``]``, in one match.
-# Neither character class holds whitespace, ':', ',', ']' or '(', so where
-# this matches, the step-by-step code reads the same pair and separator.
-_PAIR_RE = re.compile(
-    rf"\s*({_NAME_RE.pattern})\s*:\s*({_ATOM_RE.pattern})\s*([,\]])"
+# One feature of a structure in one match: its name and ':', and, where the
+# value is an atom followed by ',' or ']', the atom and that separator too.
+# Neither character class holds whitespace, ':', ',', ']' or '(', so the
+# match reads the same name and atom as a step-by-step parse would.
+_FEATURE_RE = re.compile(
+    rf"\s*({_NAME_RE.pattern})\s*:\s*(?:({_ATOM_RE.pattern})\s*([,\]]))?"
 )
+_SEPARATOR_RE = re.compile(r"\s*([,\]])")
 
 
 # A set whose value depends on its text alone: no tag, quoted atom or
@@ -227,50 +229,62 @@ class _Parser:
         return fs
 
     def parse_fs(self):
-        self.expect("[")
+        """The structure whose ``[`` is at ``self.pos``."""
+        text = self.text
+        intern = sys.intern
+        self.pos += 1
         fs = FeatStruct()
+        while True:
+            m = _FEATURE_RE.match(text, self.pos)
+            if m is None:
+                return self.no_feature(fs)
+            name, atom, sep = m.groups()
+            if name in fs:
+                return self.no_feature(fs)
+            self.pos = m.end()
+            if sep is None:
+                if text.startswith("[", self.pos):
+                    fs[intern(name)] = self.parse_fs()
+                else:
+                    fs[intern(name)] = self.parse_value()
+                m = _SEPARATOR_RE.match(text, self.pos)
+                if m is None:
+                    self.open_end()
+                    return fs
+                self.pos = m.end()
+                sep = m.group(1)
+            else:
+                fs[intern(name)] = intern(atom)
+            if sep == "]":
+                return fs
+
+    def no_feature(self, fs):
+        """Where no new ``name:`` follows: the end of an empty structure,
+        or the error a step-by-step read of the name and ':' meets."""
         self.ws()
-        if self.peek() == "]":
+        if not fs and self.peek() == "]":
             self.pos += 1
             return fs
-        while True:
-            m = _PAIR_RE.match(self.text, self.pos)
-            if m is not None and m.group(1) not in fs:
-                fs[sys.intern(m.group(1))] = sys.intern(m.group(2))
-                self.pos = m.end()
-                if m.group(3) == ",":
-                    continue
-                break
-            # anything else, a duplicate name included, goes step by step
-            self.ws()
-            m = _NAME_RE.match(self.text, self.pos)
-            if not m:
-                self.error("expected feature name")
-            name = sys.intern(m.group())
-            if name in fs:
-                self.error(f"duplicate feature name {name!r}")
-            self.pos = m.end()
-            self.ws()
-            self.expect(":")
-            fs[name] = self.parse_value()
-            self.ws()
-            c = self.peek()
-            if c == ",":
-                self.pos += 1
-                continue
-            if c == "|":
-                # trailing openness marker |_ — accepted; every structure
-                # is open, so it changes nothing
-                self.pos += 1
-                self.expect("_")
-                self.ws()
-                self.expect("]")
-                break
-            if c == "]":
-                self.pos += 1
-                break
+        m = _NAME_RE.match(self.text, self.pos)
+        if not m:
+            self.error("expected feature name")
+        if m.group() in fs:
+            self.error(f"duplicate feature name {m.group()!r}")
+        self.pos = m.end()
+        self.ws()
+        self.error("expected ':'")
+
+    def open_end(self):
+        """The trailing openness marker ``|_`` and the ``]`` after it,
+        accepted where neither ',' nor ']' follows a value; every structure
+        is open, so it changes nothing."""
+        self.ws()
+        if self.peek() != "|":
             self.error("expected ',', ']' or '|_'")
-        return fs
+        self.pos += 1
+        self.expect("_")
+        self.ws()
+        self.expect("]")
 
     def parse_value(self):
         self.ws()
@@ -309,7 +323,7 @@ class _Parser:
         if self.peek() == "=":
             self.pos += 1
             self.ws()
-            if self.peek() not in "[<{":
+            if not self.text.startswith(("[", "<", "{"), self.pos):
                 self.error("tag must name a structure, sequence or set")
             if num in self.tags:
                 self.error(f"tag @{num} defined twice")
@@ -405,7 +419,17 @@ def parse_fs_text(text: str, sets=None) -> FeatStruct:
 
     Returns a :class:`FeatStruct`, since the text must open with ``[``, or
     raises :class:`FSSyntaxError` (with position) on malformed input,
-    duplicate feature names, and unresolved tags.
+    duplicate feature names, and unresolved tags; no other exception, also
+    for a text that ends early.  Whitespace may stand at either end, after
+    an opening bracket and ``@n=``, around ``:`` and ``,``, and before a
+    closing bracket.
+
+    A structure's features are read one regular-expression match each: the
+    name and ``:``, and, where the value is an atom followed by ``,`` or
+    ``]``, the atom and that separator too.  Any other value is parsed on
+    its own, and the separator after it is one more match.  Where no match
+    fits, the error names what a step-by-step reading would have expected
+    there: a feature name, ``:``, a value, or ``,``, ``]`` or ``|_``.
 
     ``sets``, a dict kept across calls, shares sets between the texts
     parsed with it: each distinct text of a set with no tag, quoted atom or

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turklex import featstruct
+from turklex._data import bundled_path
 from turklex.featstruct import (
     BaseConcept,
     DerivedConcept,
@@ -257,21 +258,28 @@ def test_syntax_error_reports_position():
 
 
 # One malformed input per error branch of the parser, with the message and
-# position it reports.  Inputs that the one-match ``name:atom`` step could
-# read as a pair (duplicates, separators after an atom) must still fail as
-# the step-by-step reading says.
+# position it reports.  Each feature is read in one match of its name, ':'
+# and, for an atom, the atom and separator; the inputs that such a match
+# reads only in part (duplicates, a missing ':' or value, a bad separator
+# after an atom or a structure, a text that ends early) must still fail
+# where a step-by-step reading does.
 SYNTAX_ERRORS = [
         ("a", "expected '[' to open a feature structure", 0),
         ("[:a]", "expected feature name", 1),
         ("[a:b,]", "expected feature name", 5),
         ("[a b]", "expected ':'", 3),
+        ("[a", "expected ':'", 2),
+        ("[a:", "expected a value", 3),
+        ("[a:b", "expected ',', ']' or '|_'", 4),
         ("[a:b, a:c]", "duplicate feature name 'a'", 6),
         ("[a:b,b:c,a:d]", "duplicate feature name 'a'", 9),
         ("[a: b , a : c ]", "duplicate feature name 'a'", 8),
         ("[a:[], a:b]", "duplicate feature name 'a'", 7),
+        ("[a:[b:c], a:d]", "duplicate feature name 'a'", 10),
         ("[a:b; c:d]", "expected ',', ']' or '|_'", 4),
         ("[a:b:c]", "expected ',', ']' or '|_'", 4),
         ("[a:b c]", "expected ',', ']' or '|_'", 5),
+        ("[a:[b:c] d]", "expected ',', ']' or '|_'", 9),
         ("[a:b |x]", "expected '_'", 6),
         ("[a:b |_ x]", "expected ']'", 8),
         ("[a:b (c)]", "expected ',', ']' or '|_'", 5),
@@ -282,6 +290,7 @@ SYNTAX_ERRORS = [
         ("[a:@1]", "unresolved tag @1", 5),
         ("[a:@1=[], b:@1=[]]", "tag @1 defined twice", 15),
         ("[a:@1=b]", "tag must name a structure, sequence or set", 6),
+        ("[a:@1=", "tag must name a structure, sequence or set", 6),
         ("[a:'b]", "unterminated quoted atom", 3),
         ("[a:b-(c]", "unterminated concept gloss", 6),
         ("[a:b-( )]", "empty concept gloss", 6),
@@ -314,6 +323,50 @@ def test_syntax_errors_are_the_same_with_shared_sets():
         with pytest.raises(FSSyntaxError) as fresh:
             parse_fs_text(text)
         assert str(fresh.value) == str(info.value)
+
+
+def _clause_texts():
+    """The feature-structure text of every clause of the bundled database."""
+    with open(bundled_path("lexicon.fdb"), encoding="utf-8") as lines:
+        return [line.partition(":=")[2].strip() for line in lines
+                if line.startswith(("entry", "template"))]
+
+
+CLAUSE_TEXTS = _clause_texts()
+
+
+def shared_sets():
+    """A table of shared sets filled as a load fills it."""
+    sets = {}
+    for text in CLAUSE_TEXTS:
+        parse_fs_text(text, sets)
+    return sets
+
+
+def test_every_prefix_of_a_clause_fails_with_a_syntax_error():
+    sets = shared_sets()
+    for text in CLAUSE_TEXTS:
+        for end in range(len(text)):
+            for shared in (None, sets):
+                with pytest.raises(FSSyntaxError):
+                    parse_fs_text(text[:end], shared)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(CLAUSE_TEXTS), st.integers(0, 10**4),
+       st.sampled_from(("replace", "insert", "delete")),
+       st.sampled_from("[]<>{}(),:|_@=!' \t0a-"))
+def test_a_clause_edited_at_one_character_parses_or_fails_with_a_syntax_error(
+        text, index, edit, char):
+    i = index % len(text)
+    edited = {"replace": text[:i] + char + text[i + 1:],
+              "insert": text[:i] + char + text[i:],
+              "delete": text[:i] + text[i + 1:]}[edit]
+    for sets in (None, shared_sets()):
+        try:
+            parse_fs_text(edited, sets)
+        except FSSyntaxError:
+            pass
 
 
 def test_parser_interns_names_and_atoms():
@@ -448,6 +501,64 @@ def test_round_trip_preserves_sharing(fs):
     assert fs_equal(back, fs)
     if not isinstance(fs["first"], str):
         assert back["first"] is back["second"]
+
+
+def whitespace_gaps(text):
+    """The positions of a compact rendering where the parser skips
+    whitespace: the ends, after an opening bracket and after ``@n=``, around
+    ``:`` and ``,``, and before a closing bracket; none inside a quoted atom
+    or a concept gloss."""
+    gaps = [0, len(text)]
+    quoted = gloss = False
+    for i, c in enumerate(text):
+        if quoted:
+            quoted = c != "'"
+        elif gloss:
+            gloss = c != ")"
+        elif c == "'":
+            quoted = True
+        elif c == "(":
+            gloss = text[i - 1] == "-"
+        elif c in "[<{=":
+            gaps.append(i + 1)
+        elif c in ":,":
+            gaps += [i, i + 1]
+        elif c in "]>}":
+            gaps.append(i)
+    return sorted(gaps)
+
+
+def spaced(text, spaces):
+    """``text`` with ``spaces[k]`` inserted at its ``k``-th whitespace gap."""
+    out, last = [], 0
+    for gap, space in zip(whitespace_gaps(text), spaces):
+        out += [text[last:gap], space]
+        last = gap
+    out.append(text[last:])
+    return "".join(out)
+
+
+_SPACES = st.lists(st.sampled_from(("", "", " ", "  ", "\t", "\n", " \r\n ")),
+                   min_size=200, max_size=200)
+
+
+def test_whitespace_gaps_of_a_rendering():
+    text = "[a:@1=[b:x-(a, b: c)], c:<'d, e', f_lI(y-(z))>, d:{g, h}, e:@1]"
+    spaced_text = spaced(text, [" "] * 200)
+    assert spaced_text == (
+        " [ a : @1= [ b : x-(a, b: c) ] ,  c : < 'd, e' ,  f_lI(y-(z)) > ,"
+        "  d : { g ,  h } ,  e : @1 ] "
+    )
+    assert render_fs(parse_fs_text(spaced_text)) == text
+
+
+@settings(max_examples=200)
+@given(st.one_of(feat_structs, shared_structs()), _SPACES)
+def test_parse_render_round_trip_with_whitespace(fs, spaces):
+    text = render_fs(fs)
+    back = parse_fs_text(spaced(text, spaces))
+    assert fs_equal(back, fs)
+    assert render_fs(back) == text
 
 
 # -------------------------------------------------------------- unification
