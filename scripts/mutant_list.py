@@ -61,4 +61,64 @@ MUTANTS = [
      "            if not self.text.startswith((\"[\", \"<\", \"{\"), self.pos):\n",
      "            if self.peek() not in \"[<{\":\n",
      "parse_tag: a text that ends after '@n=' reports 'expected a value'"),
+    # featstruct: a derived concept's suffix is checked once
+    ("src/turklex/featstruct.py",
+     "            _WRITABLE_SUFFIXES.add(suffix)\n",
+     "",
+     "DerivedConcept: a good suffix is never cached, so it is checked every time"),
+    ("src/turklex/featstruct.py",
+     "        if suffix not in _WRITABLE_SUFFIXES:\n",
+     "        if True:\n",
+     "DerivedConcept: a cached suffix is checked again"),
+    ("src/turklex/featstruct.py",
+     "            if not _ATOM_RE.fullmatch(\"f_\" + suffix) or suffix.endswith(\"-\"):\n"
+     "                raise ValueError(f\"derived concept suffix {suffix!r} cannot be written\")\n"
+     "            _WRITABLE_SUFFIXES.add(suffix)\n",
+     "            _WRITABLE_SUFFIXES.add(suffix)\n"
+     "            if not _ATOM_RE.fullmatch(\"f_\" + suffix) or suffix.endswith(\"-\"):\n"
+     "                raise ValueError(f\"derived concept suffix {suffix!r} cannot be written\")\n",
+     "DerivedConcept: a bad suffix is cached, so a second use of it is accepted"),
+    # fsdb: the atomic save
+    ("src/turklex/fsdb.py",
+     "                os.fchmod(fd, stat.S_IMODE(mode))\n",
+     "                pass\n",
+     "save: the rewritten file loses the target's permission bits"),
+    ("src/turklex/fsdb.py",
+     "        target = os.path.realpath(path)\n",
+     "        target = path\n",
+     "save: a save through a symlink replaces the link with a file"),
+    ("src/turklex/fsdb.py",
+     "        except FileNotFoundError:  # a dangling link: write what it names\n"
+     "            mode = None\n",
+     "        except FileNotFoundError:  # a dangling link: write what it names\n"
+     "            mode = 0o100600\n",
+     "save: the file a dangling link names is written with mode 600, not the umask's"),
+    ("src/turklex/fsdb.py",
+     "            os.unlink(tmp)\n",
+     "            pass\n",
+     "save: a failed save leaves its temporary file behind"),
+    ("src/turklex/fsdb.py",
+     "            while view:\n"
+     "                view = view[os.write(fd, view):]\n",
+     "            os.write(fd, view)\n",
+     "save: a short write truncates the file"),
+    ("src/turklex/fsdb.py",
+     "os.O_TRUNC, 0o666)",
+     "os.O_TRUNC, 0o644)",
+     "save: a new file is made with mode 644 whatever the umask"),
+    ("src/turklex/fsdb.py",
+     "            view = memoryview(data)\n",
+     "            view = memoryview(data)[:-1]\n",
+     "save: the last byte of the file is dropped"),
+    # engine: the early restriction
+    ("src/turklex/engine.py",
+     "        if type(wanted) is not FeatStruct:\n            return False\n",
+     "",
+     "_may_satisfy: a cat or morph restriction that is not a structure raises "
+     "AttributeError"),
+    ("src/turklex/engine.py",
+     "        return False  # the level is dropped in retrieval\n",
+     "        return True  # the level is dropped in retrieval\n",
+     "_may_hold: a derived level without a template is kept, then dropped in "
+     "retrieval"),
 ]

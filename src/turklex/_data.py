@@ -4,6 +4,15 @@
 from importlib import resources
 from pathlib import Path
 
+# each keyword of ``LexiconEngine.from_paths`` and its packaged file
+BUNDLED_FILES = {
+    "analyzer_path": "analyzer.tsv",
+    "rootmap_path": "rootmap.tsv",
+    "derivmap_path": "derivmap.tsv",
+    "db_path": "lexicon.fdb",
+    "inventory_path": "categories.tsv",
+}
+
 
 def bundled_path(name: str) -> Path:
     """Return the on-disk path of a packaged data file."""

@@ -10,21 +10,23 @@ Data file locations come from flags, from TURKLEX_* environment variables,
 or fall back to the bundled sample data.  Exit codes: 0 success (a query
 with zero results is still a success), 1 unreadable, invalid or unwritable
 data file, 2 bad input (unparsable query/entry, missing phon, unknown sense,
-a category not in the inventory).
+a category not in the inventory).  The one failure helper is
+:func:`_or_fail`: it calls a step and, if the step raises one of the errors
+it is given, prints ``error: <message>`` on stderr and exits with the
+step's code.  ``check`` alone collects every problem before it exits.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
-from ._data import bundled_path
+from ._data import BUNDLED_FILES, bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .engine import DropRecord, FsdbAccess, LexiconEngine, QueryError, QueryTrace, TfsdbAccess
-from .featstruct import FeatStruct, FSSyntaxError, parse_fs_text, render_fs
+from .featstruct import FSSyntaxError, parse_fs_text, render_fs
 from .fsdb import (
     InvariantError,
     LexiconEntry,
@@ -37,16 +39,8 @@ from .fsdb import (
 )
 from .morph import AnalyzerTable
 
-
-@dataclass
-class Config:
-    """Resolved data-file locations."""
-
-    analyzer: Path
-    rootmap: Path
-    derivmap: Path
-    db: Path
-    categories: Path
+# what reading a data file raises for a missing, unreadable or invalid file
+_BAD_FILE = (OSError, ValueError)
 
 
 def _fail(message: str, code: int) -> None:
@@ -54,36 +48,13 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _load_engine(config: Config) -> LexiconEngine:
+def _or_fail(code: int, errors, call, *args, prefix: str = "", **kwargs):
+    """``call(*args, **kwargs)``; if it raises one of ``errors``, print
+    ``error: <prefix><the error>`` and exit with ``code``."""
     try:
-        return LexiconEngine.from_paths(
-            config.analyzer, config.rootmap, config.derivmap, config.db,
-            inventory_path=config.categories,
-        )
-    except (OSError, ValueError) as exc:
-        _fail(str(exc), 1)
-
-
-def _load_database(config: Config):
-    try:
-        return load_db(config.db)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc), 1)
-
-
-def _save_database(database, path) -> None:
-    try:
-        save_db(database, path)
-    except (OSError, InvariantError) as exc:
-        _fail(str(exc), 1)
-
-
-def _parse_query_text(text: str) -> FeatStruct:
-    try:
-        fs = parse_fs_text(text)
-    except FSSyntaxError as exc:
-        _fail(f"bad query: {exc}", 2)
-    return fs
+        return call(*args, **kwargs)
+    except errors as exc:
+        _fail(f"{prefix}{exc}", code)
 
 
 # --------------------------------------------------------------------------
@@ -175,26 +146,22 @@ def _print_outcome(trace: QueryTrace, verbosity: str, style: str) -> None:
 # commands
 
 @click.group()
-@click.option("--analyzer", envvar="TURKLEX_ANALYZER", type=click.Path(path_type=Path),
-              default=None, help="Surface-form fixture table.")
-@click.option("--rootmap", envvar="TURKLEX_ROOTMAP", type=click.Path(path_type=Path),
-              default=None, help="Root category-mapping table.")
-@click.option("--derivmap", envvar="TURKLEX_DERIVMAP", type=click.Path(path_type=Path),
-              default=None, help="Derivation category-mapping table.")
-@click.option("--db", envvar="TURKLEX_DB", type=click.Path(path_type=Path),
-              default=None, help="Feature-structure database.")
-@click.option("--categories", envvar="TURKLEX_CATEGORIES", type=click.Path(path_type=Path),
-              default=None, help="Category inventory.")
+@click.option("--analyzer", "analyzer_path", envvar="TURKLEX_ANALYZER",
+              type=click.Path(path_type=Path), default=None, help="Surface-form fixture table.")
+@click.option("--rootmap", "rootmap_path", envvar="TURKLEX_ROOTMAP",
+              type=click.Path(path_type=Path), default=None, help="Root category-mapping table.")
+@click.option("--derivmap", "derivmap_path", envvar="TURKLEX_DERIVMAP",
+              type=click.Path(path_type=Path), default=None,
+              help="Derivation category-mapping table.")
+@click.option("--db", "db_path", envvar="TURKLEX_DB",
+              type=click.Path(path_type=Path), default=None, help="Feature-structure database.")
+@click.option("--categories", "inventory_path", envvar="TURKLEX_CATEGORIES",
+              type=click.Path(path_type=Path), default=None, help="Category inventory.")
 @click.pass_context
-def main(ctx, analyzer, rootmap, derivmap, db, categories):
+def main(ctx, **paths):
     """Turkish lexicon engine: annotated feature structures for word forms."""
-    ctx.obj = Config(
-        analyzer=analyzer or bundled_path("analyzer.tsv"),
-        rootmap=rootmap or bundled_path("rootmap.tsv"),
-        derivmap=derivmap or bundled_path("derivmap.tsv"),
-        db=db or bundled_path("lexicon.fdb"),
-        categories=categories or bundled_path("categories.tsv"),
-    )
+    # the keywords of LexiconEngine.from_paths, each a given path or the bundled file
+    ctx.obj = {key: paths[key] or bundled_path(name) for key, name in BUNDLED_FILES.items()}
 
 
 @main.command()
@@ -204,18 +171,14 @@ def main(ctx, analyzer, rootmap, derivmap, db, categories):
 @click.option("--style", type=click.Choice(["compact", "indented"]),
               default="compact", show_default=True, help="Feature-structure layout.")
 @click.pass_obj
-def query(config: Config, query, trace, style):
+def query(config: dict, query, trace, style):
     """Run a query (a feature structure with at least a phon feature)."""
     text = query if query is not None else click.get_text_stream("stdin").read()
     if not text.strip():
         _fail("empty query", 2)
-    query_fs = _parse_query_text(text)
-    engine = _load_engine(config)
-    try:
-        result = engine.run(query_fs)
-    except QueryError as exc:
-        _fail(str(exc), 2)
-    _print_outcome(result, trace, style)
+    query_fs = _or_fail(2, FSSyntaxError, parse_fs_text, text, prefix="bad query: ")
+    engine = _or_fail(1, _BAD_FILE, LexiconEngine.from_paths, **config)
+    _print_outcome(_or_fail(2, QueryError, engine.run, query_fs), trace, style)
 
 
 @main.group()
@@ -228,27 +191,16 @@ def db():
 @click.argument("root")
 @click.argument("fs", required=False)
 @click.pass_obj
-def db_add(config: Config, category, root, fs):
+def db_add(config: dict, category, root, fs):
     """Append FS as the last sense of ROOT under CATEGORY."""
     text = fs if fs is not None else click.get_text_stream("stdin").read()
-    try:
-        cat = Cat5.from_text(category)
-        entry_fs = parse_fs_text(text)
-    except (ValueError, FSSyntaxError) as exc:
-        _fail(str(exc), 2)
-    try:
-        inventory = load_inventory(config.categories)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc), 1)
-    if cat not in inventory:
+    cat = _or_fail(2, ValueError, Cat5.from_text, category)
+    entry_fs = _or_fail(2, ValueError, parse_fs_text, text)
+    if cat not in _or_fail(1, _BAD_FILE, load_inventory, config["inventory_path"]):
         _fail(f"entry category {cat.render()} not in inventory", 2)
-    database = _load_database(config)
-    entry = LexiconEntry(cat, root, entry_fs)
-    try:
-        add_entry(database, entry)
-    except InvariantError as exc:
-        _fail(str(exc), 2)
-    _save_database(database, config.db)
+    database = _or_fail(1, _BAD_FILE, load_db, config["db_path"])
+    _or_fail(2, InvariantError, add_entry, database, LexiconEntry(cat, root, entry_fs))
+    _or_fail(1, (OSError, InvariantError), save_db, database, config["db_path"])
     click.echo(f"added sense {len(database.entries[(cat, root)])} of {cat.render()} {root}")
 
 
@@ -257,18 +209,15 @@ def db_add(config: Config, category, root, fs):
 @click.argument("root")
 @click.argument("sense_index", type=int)
 @click.pass_obj
-def db_delete(config: Config, category, root, sense_index):
+def db_delete(config: dict, category, root, sense_index):
     """Delete one sense of ROOT under CATEGORY by zero-based index."""
-    try:
-        cat = Cat5.from_text(category)
-    except ValueError as exc:
-        _fail(str(exc), 2)
-    database = _load_database(config)
+    cat = _or_fail(2, ValueError, Cat5.from_text, category)
+    database = _or_fail(1, _BAD_FILE, load_db, config["db_path"])
     try:
         delete_entry(database, cat, root, sense_index)
     except (KeyError, IndexError) as exc:
         _fail(str(exc).strip("'"), 2)
-    _save_database(database, config.db)
+    _or_fail(1, (OSError, InvariantError), save_db, database, config["db_path"])
     click.echo(f"deleted sense {sense_index} of {cat.render()} {root}")
 
 
@@ -278,15 +227,10 @@ def db_delete(config: Config, category, root, sense_index):
 @click.option("--root", default=None, help="Root substring filter.")
 @click.option("--style", type=click.Choice(["compact", "indented"]), default="compact")
 @click.pass_obj
-def db_browse(config: Config, cat_text, root, style):
+def db_browse(config: dict, cat_text, root, style):
     """List entries matching the filters."""
-    cat = None
-    if cat_text is not None:
-        try:
-            cat = Cat5.from_text(cat_text)
-        except ValueError as exc:
-            _fail(str(exc), 2)
-    database = _load_database(config)
+    cat = None if cat_text is None else _or_fail(2, ValueError, Cat5.from_text, cat_text)
+    database = _or_fail(1, _BAD_FILE, load_db, config["db_path"])
     hits = browse_db(database, cat=cat, root=root)
     for entry in hits:
         if style == "indented":
@@ -299,7 +243,7 @@ def db_browse(config: Config, cat_text, root, style):
 
 @main.command()
 @click.pass_obj
-def check(config: Config):
+def check(config: dict):
     """Validate every data file and their cross-references."""
     problems = []
 
@@ -307,19 +251,19 @@ def check(config: Config):
         """``load(*args)``, or None with the failure noted as a problem."""
         try:
             return load(*args)
-        except (OSError, ValueError) as exc:
+        except _BAD_FILE as exc:
             problems.append(str(exc))
             return None
 
-    inventory = attempt(load_inventory, config.categories)
-    attempt(AnalyzerTable.load, config.analyzer)
-    rootmap = attempt(RootMapTable.load, config.rootmap, inventory)
-    attempt(DerivMapTable.load, config.derivmap, inventory)
-    database = attempt(load_db, config.db)
+    inventory = attempt(load_inventory, config["inventory_path"])
+    attempt(AnalyzerTable.load, config["analyzer_path"])
+    rootmap = attempt(RootMapTable.load, config["rootmap_path"], inventory)
+    attempt(DerivMapTable.load, config["derivmap_path"], inventory)
+    database = attempt(load_db, config["db_path"])
 
     if database is not None:
         if not database.entries:
-            problems.append(f"{config.db}: the database has no entries")
+            problems.append(f"{config['db_path']}: the database has no entries")
         if inventory is not None:
             for (cat, root) in database.entries:
                 if cat not in inventory:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._data import bundled_path
+from ._data import BUNDLED_FILES, bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
 from .featstruct import (
     DerivedConcept,
@@ -383,13 +383,7 @@ class LexiconEngine:
 
     @classmethod
     def from_bundled_data(cls) -> "LexiconEngine":
-        return cls.from_paths(
-            bundled_path("analyzer.tsv"),
-            bundled_path("rootmap.tsv"),
-            bundled_path("derivmap.tsv"),
-            bundled_path("lexicon.fdb"),
-            inventory_path=bundled_path("categories.tsv"),
-        )
+        return cls.from_paths(**{key: bundled_path(name) for key, name in BUNDLED_FILES.items()})
 
     def run(self, query_fs: FeatStruct, use_early_filter: bool = True) -> QueryTrace:
         """Answer a query, returning the full trace (results included)."""

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from turklex._data import bundled_path
 from turklex.catmap import Cat5
 from turklex.cli import main
+from turklex.featstruct import render_fs
 from turklex.fsdb import dumps, load, lookup
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
@@ -73,7 +74,7 @@ class TestQuery:
         args = ["query", query, "--trace", "full"]
         fresh = runner.invoke(main, args)  # an engine of its own
         # then one engine answers both runs
-        monkeypatch.setattr("turklex.cli._load_engine", lambda config: engine)
+        monkeypatch.setattr("turklex.cli.LexiconEngine.from_paths", lambda **config: engine)
         first, second = runner.invoke(main, args), runner.invoke(main, args)
         assert fresh.exit_code == first.exit_code == second.exit_code == 0
         assert fresh.output == first.output == second.output
@@ -145,6 +146,18 @@ class TestDbBrowse:
     def test_bad_category_exits_2(self, runner):
         result = runner.invoke(main, ["db", "browse", "--cat", "a,b,c,d,e,f"])
         assert result.exit_code == 2
+        assert result.output == "error: expected 1-5 comma-separated atoms, got 'a,b,c,d,e,f'\n"
+
+    def test_indented_style_prints_each_entry_under_its_head(self, runner):
+        result = runner.invoke(main, ["db", "browse", "--root", "ekim", "--style", "indented"])
+        assert result.exit_code == 0
+        (entry,) = lookup(load(bundled_path("lexicon.fdb")), COMMON, "ekim")
+        assert result.output == (
+            "entry nominal,noun,common,none,none ekim :=\n"
+            f"{render_fs(entry.fs, style='indented')}\n"
+            "1 entry/entries\n"
+        )
+        assert "  sub: common\n" in result.output
 
     def test_compact_lines_are_the_saved_clause_lines(self, runner):
         result = runner.invoke(main, ["db", "browse", "--root", "ek"])
@@ -305,6 +318,39 @@ class TestDbAddDelete:
         assert result.exit_code == 2
         assert len(lookup(load(tmp_db), COMMON, "ek")) == 2
 
+    def test_add_with_an_unreadable_inventory_exits_1_and_keeps_the_file(self, runner, tmp_db,
+                                                                          tmp_path):
+        before = tmp_db.read_bytes()
+        missing = tmp_path / "missing.tsv"
+        result = runner.invoke(
+            main,
+            ["--db", str(tmp_db), "--categories", str(missing),
+             "db", "add", "nominal,noun,common,none,none", "yol", NEW_ENTRY],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert tmp_db.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "args",
+        [["add", "nominal,noun,common,none,none", "yol", NEW_ENTRY],
+         ["delete", "nominal,noun,common,none,none", "ek", "0"],
+         ["browse"]],
+        ids=["add", "delete", "browse"],
+    )
+    def test_missing_db_exits_1(self, runner, tmp_path, args):
+        missing = tmp_path / "missing.fdb"
+        result = runner.invoke(main, ["--db", str(missing), "db", *args])
+        assert result.exit_code == 1
+        assert result.output == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not missing.exists()
+
+    def test_delete_malformed_category_exits_2_and_keeps_the_file(self, runner, tmp_db):
+        before = tmp_db.read_bytes()
+        result = runner.invoke(main, ["--db", str(tmp_db), "db", "delete", ",noun", "ek", "0"])
+        assert result.exit_code == 2
+        assert result.output == "error: expected 1-5 comma-separated atoms, got ',noun'\n"
+        assert tmp_db.read_bytes() == before
 
     @pytest.mark.parametrize(
         "args",
@@ -347,6 +393,26 @@ class TestCheck:
         assert result.exit_code == 1
         assert "has no entries" in result.output
         assert "1 problem(s) found" in result.output
+
+    def test_entry_and_template_categories_missing_from_the_inventory_fail(self, runner,
+                                                                             tmp_path):
+        entry_cat = "conjunction,coordinating,none,none,none"  # an entry's, and rootmap's
+        template_cat = "adverbial,temporal,point-of-time,none,none"  # a template's, and derivmap's
+        categories = tmp_path / "categories.tsv"
+        lines = bundled_path("categories.tsv").read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if line not in (entry_cat, template_cat)]
+        assert len(kept) == len(lines) - 2
+        categories.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        rootmap, derivmap = bundled_path("rootmap.tsv"), bundled_path("derivmap.tsv")
+        result = runner.invoke(main, ["--categories", str(categories), "check"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"problem: {rootmap}:34: category {entry_cat} is not in the inventory",
+            f"problem: {derivmap}:33: category {template_cat} is not in the inventory",
+            f"problem: entry category {entry_cat} not in inventory",
+            f"problem: template category {template_cat} not in inventory",
+            "4 problem(s) found",
+        ]
 
     def test_unreadable_file_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["--rootmap", str(tmp_path / "nope.tsv"), "check"])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from turklex._data import bundled_path
+from turklex._data import BUNDLED_FILES, bundled_path
 from turklex.catmap import Cat5
 from turklex.engine import (
     LexiconEngine,
@@ -264,6 +264,36 @@ class TestSoundRestriction:
         assert [repr(fs["sem"]["concept"]) for fs in trace.results] == concepts
         late = engine.query(q(query), use_early_filter=False)
         assert list(map(render_fs, late)) == list(map(render_fs, trace.results))
+
+    @pytest.mark.parametrize("query", ["[phon:kazma, cat:verb]", "[phon:kazma, morph:none]"])
+    def test_a_block_that_is_not_a_structure_eliminates_every_parse(self, engine, query):
+        trace = engine.run(q(query))
+        assert len(trace.eliminated) == len(trace.transformed) == 3
+        assert trace.results == []
+        assert engine.query(q(query), use_early_filter=False) == []
+
+    def test_a_derived_level_without_a_template_is_eliminated(self, tmp_path):
+        for name in DATA_FILES:
+            shutil.copy(bundled_path(name), tmp_path / name)
+        db = tmp_path / "lexicon.fdb"
+        lines = db.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith("template nominal,sentential,act,infinitive,ma ")]
+        assert len(kept) == len(lines) - 1
+        db.write_text("".join(kept), encoding="utf-8")
+        engine = _engine_in(tmp_path)
+
+        query = q("[phon:kazma, morph:[copula:none]]")
+        trace = engine.run(query)
+        # kazma's noun and verb senses hold no copula, and the infinitive,
+        # whose template would, is dropped in retrieval: no parse gets there
+        assert len(trace.eliminated) == 3
+        assert not any(isinstance(event, DropRecord) for event in trace.events)
+        late = engine.run(query, use_early_filter=False)
+        assert trace.results == late.results == []
+        assert [event.reason for event in late.events if isinstance(event, DropRecord)] == [
+            "no template for nominal,sentential,act,infinitive,ma"
+        ]
 
     def test_a_sixth_cat_name_of_an_entry_is_carried(self, tmp_path):
         for name in DATA_FILES:
@@ -689,7 +719,7 @@ def test_nothing_built_holds_none(engine):
 # --------------------------------------------------------------------------
 # results share the database's nodes, and no query writes to them
 
-DATA_FILES = ("analyzer.tsv", "rootmap.tsv", "derivmap.tsv", "lexicon.fdb", "categories.tsv")
+DATA_FILES = tuple(BUNDLED_FILES.values())
 SYNTH = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
 
 # the bundled sense of "at", with its morph block co-indexed under syn
@@ -702,8 +732,9 @@ COINDEXED_AT = (
 
 
 def _engine_in(directory: Path) -> LexiconEngine:
-    *paths, inventory = (directory / name for name in DATA_FILES)
-    return LexiconEngine.from_paths(*paths, inventory_path=inventory)
+    return LexiconEngine.from_paths(
+        **{key: directory / name for key, name in BUNDLED_FILES.items()}
+    )
 
 
 def _coindexed_engine(directory: Path) -> LexiconEngine:

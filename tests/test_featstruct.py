@@ -20,6 +20,7 @@ from turklex.featstruct import (
     get_path,
     node_counts,
     parse_fs_text,
+    parse_path,
     project,
     render_fs,
     subsumes,
@@ -459,6 +460,12 @@ def test_render_indented_has_expected_lines():
     assert any(ln.startswith("animate: +") for ln in lines)
 
 
+def test_render_unknown_style_is_rejected():
+    with pytest.raises(ValueError) as info:
+        render_fs(parse_fs_text("[a:b]"), style="tree")
+    assert str(info.value) == "unknown style 'tree'"
+
+
 def test_render_shared_substructure_uses_tags():
     fs = parse_fs_text("[a:@1=[x:y], b:@1]")
     out = render_fs(fs)
@@ -859,6 +866,13 @@ def test_get_path():
     assert get_path(fs, ("a", "b")) == "c"
     assert get_path(parse_fs_text("[]"), "phon") is None
     assert get_path(fs, "a|zz") is None
+    assert get_path(parse_fs_text("[a:b]"), "a|c") is None  # a path through an atom
+
+
+def test_parse_path_rejects_an_empty_name():
+    with pytest.raises(ValueError) as info:
+        parse_path("a||b")
+    assert str(info.value) == "bad path 'a||b'"
 
 
 def test_project():

@@ -80,6 +80,16 @@ class TestParseString:
         with pytest.raises(ParseFormatError, match="CAT"):
             parse_parse_string("[[ROOT=at][AGR=3SG]]")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("CAT=NOUN", "malformed bracket syntax: 'CAT=NOUN'"),
+         ("[]", "parse must start with a CAT pair")],
+    )
+    def test_text_without_a_pair_is_rejected(self, text, message):
+        with pytest.raises(ParseFormatError) as info:
+            parse_parse_string(text)
+        assert str(info.value) == message
+
 
 class TestValueNormalisation:
     @pytest.mark.parametrize(
