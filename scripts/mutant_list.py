@@ -60,7 +60,7 @@ MUTANTS = [
     ("src/turklex/featstruct.py",
      "            if not self.text.startswith((\"[\", \"<\", \"{\"), self.pos):\n",
      "            if self.peek() not in \"[<{\":\n",
-     "parse_tag: a text that ends after '@n=' reports 'expected a value'"),
+     "parse_tag: a text that ends after '@n=' raises IndexError"),
     # featstruct: a derived concept's suffix is checked once
     ("src/turklex/featstruct.py",
      "            _WRITABLE_SUFFIXES.add(suffix)\n",
@@ -110,6 +110,61 @@ MUTANTS = [
      "            view = memoryview(data)\n",
      "            view = memoryview(data)[:-1]\n",
      "save: the last byte of the file is dropped"),
+    # fsdb: what one load shares between its entry clauses
+    ("src/turklex/fsdb.py",
+     'tuple(fs["cat"]) == Cat5._fields',
+     'len(fs["cat"]) == 5',
+     "load: a cat block is shared whatever its feature order"),
+    ("src/turklex/fsdb.py",
+     'if fs_text.startswith("[cat:[") and ',
+     "if ",
+     "load: a tagged cat block is shared, so the clause loses its co-indexing"),
+    ("src/turklex/fsdb.py",
+     "    cats: dict = {}  # one cat block per category, keyed by the clause's Cat5\n",
+     '    cats = load.__dict__.setdefault("cats", {})\n',
+     "load: the cat blocks are shared across loads"),
+    ("src/turklex/fsdb.py",
+     '    syn = FeatStruct([("subcat", "none")])  # the entries\' one default syn\n',
+     '    syn = load.__dict__.setdefault("syn", FeatStruct([("subcat", "none")]))\n',
+     "load: the default syn is shared across loads"),
+    ("src/turklex/fsdb.py",
+     "                if not stated:\n                    fs[\"syn\"] = syn\n",
+     "                fs[\"syn\"] = syn\n",
+     "load: an entry's own syn is replaced by the default"),
+    ("src/turklex/fsdb.py",
+     "            template = TemplateEntry(cat, fs)\n",
+     "            fs[\"cat\"] = cats.setdefault(cat, fs[\"cat\"])\n"
+     "            template = TemplateEntry(cat, fs)\n",
+     "load: a template shares its cat block with the entries of its category"),
+    ("src/turklex/fsdb.py",
+     '        syn = FeatStruct([("subcat", "none")])\n        before_sem',
+     '        syn = fill_entry_defaults.__dict__.setdefault("syn", FeatStruct([("subcat", "none")]))\n'
+     "        before_sem",
+     "add_entry: entries added outside a load share one default syn"),
+    # featstruct and morph: strings and analyzer values one object each
+    ("src/turklex/featstruct.py",
+     "                gloss = sys.intern(gloss)\n",
+     "                pass\n",
+     "parse_fs_text: equal concept glosses of a load stay separate strings"),
+    ("src/turklex/featstruct.py",
+     "            if self.sets is not None:  # see parse_fs_text\n"
+     "                gloss = sys.intern(gloss)\n",
+     "            gloss = sys.intern(gloss)\n",
+     "parse_fs_text: a parse outside a load interns its glosses too"),
+    ("src/turklex/morph.py",
+     "        shared: dict = {}\n",
+     '        shared = parse_parse_string.__dict__.setdefault("shared", {})\n',
+     "AnalyzerTable.load: the analyzer values are shared across loads"),
+    ("src/turklex/morph.py",
+     "    levels.append(one(Level(category, proc_type, name, one(tuple(inflections)))))\n"
+     "    return MorphParse",
+     "    levels.append(Level(category, proc_type, name, one(tuple(inflections))))\n"
+     "    return MorphParse",
+     "parse_parse_string: equal last levels stay separate objects"),
+    ("src/turklex/morph.py",
+     "inflections.append(shared.setdefault(pair, pair))",
+     "inflections.append(pair)",
+     "parse_parse_string: equal (key, value) pairs stay separate objects"),
     # engine: the early restriction
     ("src/turklex/engine.py",
      "        if type(wanted) is not FeatStruct:\n            return False\n",

@@ -10,7 +10,9 @@ The checkout is copied to a temporary directory once, and tier-1 runs there
 unchanged first: it must pass, or no mutant's result would mean anything.
 Then each mutant in turn is written into the copy, tier-1 runs with ``-x``
 (so a killed mutant stops at its first failure), and the file is put back.
-A mutant is killed when tier-1 fails or runs past ``TIMEOUT_S``.
+A mutant of ``src/turklex/X.py`` meets ``tests/test_X.py`` first, where it
+most likely dies, and the rest of tier-1 only if that file passes.  A
+mutant is killed when tier-1 fails or a run of it passes ``TIMEOUT_S``.
 
 Prints one row per mutant and exits 0 when all are killed, 1 when any
 survives, and 2 when the unchanged copy fails or a mutant's old text is not
@@ -45,14 +47,15 @@ def load_mutants(path=HERE / "mutant_list.py"):
     raise SystemExit(f"{path}: no MUTANTS list")
 
 
-def tier1(copy: Path):
-    """Run tier-1 in ``copy``: (passed, seconds, what failed first)."""
+def tier1(copy: Path, *args):
+    """Run tier-1 in ``copy``, narrowed by the pytest ``args``: (passed,
+    seconds, what failed first)."""
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",  # no stale bytecode
                PYTHONPATH="src" + (os.pathsep + pythonpath if pythonpath else ""))
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
+        proc = subprocess.run([sys.executable, *TIER1, *args], cwd=copy, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, time.perf_counter() - start, f"timed out after {TIMEOUT_S} s"
@@ -62,9 +65,23 @@ def tier1(copy: Path):
     return proc.returncode == 0, seconds, (failed or lines or [""])[-1]
 
 
+def own_tests_first(copy: Path, file: str):
+    """Tier-1 against a mutant of ``file``: its module's test file first,
+    if there is one, then the rest; the two times summed."""
+    own = f"tests/test_{Path(file).stem}.py"
+    if not (copy / own).is_file():
+        return tier1(copy)
+    passed, seconds, last = tier1(copy, own)
+    if not passed:
+        return passed, seconds, last
+    passed, rest, last = tier1(copy, f"--ignore={own}")
+    return passed, seconds + rest, last
+
+
 def main() -> int:
     mutants = load_mutants()
 
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=SKIP)
@@ -86,7 +103,7 @@ def main() -> int:
                 continue
             target.write_text(original.replace(old, new), encoding="utf-8")
             try:
-                passed, seconds, last = tier1(copy)
+                passed, seconds, last = own_tests_first(copy, file)
             finally:
                 target.write_text(original, encoding="utf-8")
             survivors += passed
@@ -95,7 +112,7 @@ def main() -> int:
                   f"     {file}: {last}", flush=True)
 
     print(f"{len(mutants) - survivors - stale} killed, {survivors} survived, "
-          f"{stale} stale, of {len(mutants)}")
+          f"{stale} stale, of {len(mutants)}, in {time.perf_counter() - start:.0f} s")
     return 2 if stale else 1 if survivors else 0
 
 

@@ -39,11 +39,13 @@ written back as text is rejected when it is made.
 returns ``None`` on a clash (never an exception), and ``FeatStruct.get`` and
 :func:`get_path` return ``None`` where no value is.
 
-The parser interns every feature name and atom it returns
-(``sys.intern``), so a database holds one string per distinct name or
-atom however many clauses use it.  That saves memory only: code still
-compares names and atoms with ``==``, never ``is``, because structures
-built through the API may hold strings that were never interned.
+The parser interns every feature name and atom it returns, and the root
+of every root concept (``sys.intern``), so a database holds one string per
+distinct name or atom however many clauses use it; a load's parse also
+interns concept glosses (see :func:`parse_fs_text`).  That saves memory
+only: code still compares names and atoms with ``==``, never ``is``,
+because structures built through the API may hold strings that were never
+interned.
 """
 
 from __future__ import annotations
@@ -178,7 +180,6 @@ class FSSyntaxError(ValueError):
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_-]*")
 _ATOM_RE = re.compile(r"[A-Za-z0-9_.+/-]+")
-_INT_RE = re.compile(r"\d+")
 # One feature of a structure in one match: its name and ':', and, where the
 # value is an atom followed by ',' or ']', the atom and that separator too.
 # Neither character class holds whitespace, ':', ',', ']' or '(', so the
@@ -187,6 +188,10 @@ _FEATURE_RE = re.compile(
     rf"\s*({_NAME_RE.pattern})\s*:\s*(?:({_ATOM_RE.pattern})\s*([,\]]))?"
 )
 _SEPARATOR_RE = re.compile(r"\s*([,\]])")
+# A tag, ``@n=`` with the whitespace after it or ``@n``; and what follows
+# a list's item, ``,`` or nothing.
+_TAG_RE = re.compile(r"@(\d+)(=\s*)?")
+_ITEM_END_RE = re.compile(r"\s*(,?)")
 
 
 # A set whose value depends on its text alone: no tag, quoted atom or
@@ -287,47 +292,49 @@ class _Parser:
         self.expect("]")
 
     def parse_value(self):
-        self.ws()
-        c = self.peek()
-        if c == "@":
-            return self.parse_tag()
-        if c == "!":
-            self.pos += 1
-            m = _ATOM_RE.match(self.text, self.pos)
-            if not m:
-                self.error("expected atom after '!'")
-            self.pos = m.end()
-            return Neg(sys.intern(m.group()))
-        if c == "'":
-            end = self.text.find("'", self.pos + 1)
-            if end < 0:
-                self.error("unterminated quoted atom")
-            atom = sys.intern(self.text[self.pos + 1 : end])
-            self.pos = end + 1
-            return atom
-        if c == "[":
-            return self.parse_fs()
-        if c == "<":
-            return Seq(self.parse_list(">"))
-        if c == "{":
-            return self.parse_braces() if self.sets is None else self.shared_braces()
-        return self.parse_atom_or_concept()
+        """The value at ``self.pos``, after any whitespace, read by the
+        method its first character selects (:data:`_Parser.STARTS`)."""
+        c = self.text[self.pos : self.pos + 1]
+        if c.isspace():
+            self.ws()
+            c = self.text[self.pos : self.pos + 1]
+        return self.STARTS.get(c, _Parser.parse_atom_or_concept)(self)
+
+    def parse_neg(self):
+        self.pos += 1
+        m = _ATOM_RE.match(self.text, self.pos)
+        if not m:
+            self.error("expected atom after '!'")
+        self.pos = m.end()
+        return Neg(sys.intern(m.group()))
+
+    def parse_quoted(self):
+        end = self.text.find("'", self.pos + 1)
+        if end < 0:
+            self.error("unterminated quoted atom")
+        atom = sys.intern(self.text[self.pos + 1 : end])
+        self.pos = end + 1
+        return atom
+
+    def parse_seq(self):
+        return Seq(self.parse_list(">"))
+
+    def parse_set(self):
+        return self.parse_braces() if self.sets is None else self.shared_braces()
 
     def parse_tag(self):
-        self.expect("@")
-        m = _INT_RE.match(self.text, self.pos)
+        m = _TAG_RE.match(self.text, self.pos)
         if not m:
-            self.error("expected tag number after '@'")
-        num = int(m.group())
-        self.pos = m.end()
-        if self.peek() == "=":
             self.pos += 1
-            self.ws()
+            self.error("expected tag number after '@'")
+        num = int(m.group(1))
+        self.pos = m.end()
+        if m.group(2) is not None:
             if not self.text.startswith(("[", "<", "{"), self.pos):
                 self.error("tag must name a structure, sequence or set")
             if num in self.tags:
                 self.error(f"tag @{num} defined twice")
-            value = self.parse_value()
+            value = self.STARTS[self.text[self.pos]](self)
             self.tags[num] = value
             return value
         if num not in self.tags:
@@ -338,14 +345,14 @@ class _Parser:
         """The comma-separated values after an opening ``<`` or ``{``, up to
         ``close``."""
         self.pos += 1
-        items = [self.parse_value()]
-        self.ws()
-        while self.peek() == ",":
-            self.pos += 1
+        items = []
+        while True:
             items.append(self.parse_value())
-            self.ws()
-        self.expect(close)
-        return items
+            m = _ITEM_END_RE.match(self.text, self.pos)
+            self.pos = m.end()
+            if not m.group(1):
+                self.expect(close)
+                return items
 
     def shared_braces(self):
         """The set at ``{``: the value in ``self.sets`` when its plain text
@@ -401,7 +408,9 @@ class _Parser:
             if not gloss:
                 self.error("empty concept gloss")
             self.pos = end + 1
-            return BaseConcept(cand[:-1], gloss)
+            if self.sets is not None:  # see parse_fs_text
+                gloss = sys.intern(gloss)
+            return BaseConcept(sys.intern(cand[:-1]), gloss)
         if cand == "none" or cand.startswith("f_"):
             suffix = "none" if cand == "none" else cand[2:]
             self.pos += 1
@@ -412,6 +421,11 @@ class _Parser:
             self.expect(")")
             return DerivedConcept(suffix, inner)
         self.error(f"unexpected '(' after {cand!r}")
+
+    # a value's first character -> the method that reads it; an atom or a
+    # concept starts with any other
+    STARTS = {"@": parse_tag, "!": parse_neg, "'": parse_quoted, "[": parse_fs,
+              "<": parse_seq, "{": parse_set}
 
 
 def parse_fs_text(text: str, sets=None) -> FeatStruct:
@@ -436,7 +450,11 @@ def parse_fs_text(text: str, sets=None) -> FeatStruct:
     concept inside it is parsed once, and every later text holding it gets
     the same value (at most once per text).  The results then share nodes,
     so they must never be mutated; :mod:`turklex.fsdb` passes one dict per
-    load.
+    load.  A parse with ``sets`` also interns the glosses of root concepts,
+    which a load's clauses repeat.  A parse without it leaves them alone: a
+    gloss is free text, and interning the gloss of each short-lived parse
+    (an edited sense) would churn the interpreter's table of interned
+    strings, whose rebuilds raise the peak memory.
     """
     return _Parser(text, sets).parse_top()
 
@@ -526,7 +544,8 @@ class _Renderer:
     def indent(self, head, value, depth, lines):
         """``value`` after ``head``: a leaf or a tag reference on the head's
         line, a node's parts on the lines below it.  A feature's empty
-        structure is written ``[]``; an empty item is its bare bullet."""
+        structure, and a tagged empty item, is written ``[]``; an untagged
+        empty item is its bare bullet."""
         pad = "  " * depth
         if isinstance(value, (str, frozenset, Neg, Concept)):
             lines.append(f"{pad}{head} {self.compact_value(value)}")
@@ -534,7 +553,7 @@ class _Renderer:
         tag, emitted = self.tag_for(value)
         if emitted:
             lines.append(f"{pad}{head} {tag}")
-        elif type(value) is FeatStruct and not value and head.endswith(":"):
+        elif type(value) is FeatStruct and not value and (tag or head.endswith(":")):
             lines.append(f"{pad}{head} {tag}[]")
         else:
             lines.append(f"{pad}{head} {tag}" if tag else f"{pad}{head}")

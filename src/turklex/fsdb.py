@@ -24,19 +24,33 @@ the first time it saves that clause, and keeps it on the clause
 (``line``); a later save renders only the clauses added since and joins
 the stored lines.  ``load`` renders nothing.
 
-The same contract lets one ``load`` share values between entries.  It
-parses each distinct text of a set with no tag, quoted atom or concept
-inside it once (see :func:`~turklex.featstruct.parse_fs_text`), so every
-entry that repeats a complement constraint set such as
-``{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}`` holds the
-same object; a clause holds a shared set once at most, since a node reached
-twice within a clause reads as co-indexing.  Template clauses are parsed
+The same contract lets one ``load`` share values between entries, in three
+ways:
+
+* It parses each distinct text of a set with no tag, quoted atom or
+  concept inside it once (see :func:`~turklex.featstruct.parse_fs_text`),
+  so every entry that repeats a complement constraint set such as
+  ``{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}`` holds
+  the same object.
+* An entry's ``cat`` block that is written first and untagged
+  (``[cat:[...``) and holds just the five slots in ``Cat5`` order becomes
+  the load's one block for the clause's category.  Validation has checked
+  the slots' atoms against the key, so the clause's ``Cat5`` keys it.
+* Every entry read without a ``syn`` gets the load's one
+  ``[subcat:none]`` block.
+
+Each shared value is the load's own: two loads share nothing, and an
+entry that ``add_entry`` adds outside a load keeps its own nodes.  A
+clause holds a shared value once at most, since a node reached twice
+within a clause reads as co-indexing; a tagged ``cat`` block is reached
+from its tag too, so it is not shared.  Template clauses are parsed
 alone and share no node with any other clause: a derived result holds a
-sense and a template side by side, and a set the two shared would be
-reached twice in it and render as co-indexed.  Nothing mutates
-a shared set: the engine unifies copies, ``retrieve`` hands a sense's sets
-on in read-only results, and ``fill_entry_defaults`` changes only the
-clause's own root, ``syn`` and ``sem`` structures.
+sense and a template side by side, and a node the two shared would be
+reached twice in it and render as co-indexed.  Nothing mutates a shared
+value: the engine unifies copies, ``retrieve`` hands a sense's nodes on
+in read-only results, and ``fill_entry_defaults`` changes only the
+clause's own root, ``syn`` and ``sem`` structures, and a ``syn`` only
+where it lacks ``subcat``, which the default does not.
 
 A save is atomic: :func:`save` encodes the whole text first, writes it to
 a temporary file beside the target with ``os.open``/``os.write``, gives it
@@ -83,7 +97,7 @@ class InvariantError(ValueError):
     """Raised when an entry or template violates a database invariant."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LexiconEntry:
     """One sense of a root word.
 
@@ -101,7 +115,7 @@ class LexiconEntry:
     morph_coindexed: Optional[bool] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class TemplateEntry:
     """Class-wide feature skeleton for derived forms of one category."""
 
@@ -198,10 +212,13 @@ def _check_cat(fs: FeatStruct, cat: Cat5, what: str) -> None:
             )
 
 
+_ROOT_RE = re.compile(r"\S+")
+
+
 def validate_entry(entry: LexiconEntry) -> None:
     """Check the structural invariants every entry must satisfy."""
     what = f"entry {entry.cat.render()} {entry.root}"
-    if re.fullmatch(r"\S+", entry.root) is None:
+    if _ROOT_RE.fullmatch(entry.root) is None:
         raise InvariantError(f"{what}: root {entry.root!r} is not one word without whitespace")
     _check_cat(entry.fs, entry.cat, what)
     morph = _require_block(entry.fs, "morph", what)
@@ -313,6 +330,8 @@ def load(path) -> Database:
     """
     db = Database()
     sets: dict = {}  # one value per distinct plain set text of the entries
+    cats: dict = {}  # one cat block per category, keyed by the clause's Cat5
+    syn = FeatStruct([("subcat", "none")])  # the entries' one default syn
 
     def add_clause(line: str) -> None:
         if line.startswith("entry"):
@@ -337,7 +356,14 @@ def load(path) -> Database:
             cat = Cat5.from_text(cat_text)
             fs = parse_fs_text(fs_text, shared)
             if root is not None:
+                stated = "syn" in fs
                 add_entry(db, LexiconEntry(cat, root, fs))
+                if not stated:
+                    fs["syn"] = syn
+                # validated, so a block of the five slots in order holds
+                # just the key's atoms; untagged, it is reached only here
+                if fs_text.startswith("[cat:[") and tuple(fs["cat"]) == Cat5._fields:
+                    fs["cat"] = cats.setdefault(cat, fs["cat"])
                 return
             template = TemplateEntry(cat, fs)
             validate_template(template)

@@ -143,8 +143,14 @@ class MorphParse(NamedTuple):
     levels: tuple
 
 
-def parse_parse_string(text: str) -> MorphParse:
+def parse_parse_string(text: str, shared=None) -> MorphParse:
     """Parse a bracketed processor string into a :class:`MorphParse`.
+
+    ``shared``, a dict kept across calls, gives the parses read with it one
+    object per distinct ``(key, value)`` pair, inflection tuple and
+    :class:`Level`; all three are immutable.  No two of these kinds compare
+    equal (a pair holds two strings, an inflection tuple holds pairs, a
+    level four fields), so one dict serves them all.
 
     Raises :class:`ParseFormatError` for malformed bracket or pair syntax,
     for a missing leading ``CAT`` or missing ``ROOT`` pair, for a ``CONV``
@@ -154,6 +160,12 @@ def parse_parse_string(text: str) -> MorphParse:
     sets ``morph|form`` and ``morph|stem``, so the pair would clash with
     every sense or overwrite the derived stem).
     """
+    if shared is None:
+        shared = {}
+
+    def one(value):
+        return shared.setdefault(value, value)
+
     text = text.strip()
     if len(text) < 2 or text[0] != "[" or text[-1] != "]":
         raise ParseFormatError(f"malformed bracket syntax: {text!r}")
@@ -187,7 +199,7 @@ def parse_parse_string(text: str) -> MorphParse:
         if key == "CONV":
             if name is None:
                 raise ParseFormatError("CONV conversion appears before ROOT")
-            levels.append(Level(category, proc_type, name, tuple(inflections)))
+            levels.append(one(Level(category, proc_type, name, one(tuple(inflections)))))
             category, name = sys.intern(first.lower()), map_value(second)
             proc_type, inflections, seen = "none", [], set()
         elif key == "CAT":
@@ -197,13 +209,14 @@ def parse_parse_string(text: str) -> MorphParse:
         elif key == "TYPE":
             proc_type = map_value(first)
         else:
-            inflections.append((sys.intern(key.lower()), map_value(first)))
+            pair = (sys.intern(key.lower()), map_value(first))
+            inflections.append(shared.setdefault(pair, pair))
 
     if category is None:
         raise ParseFormatError("parse must start with a CAT pair")
     if name is None:
         raise ParseFormatError("parse has no ROOT pair")
-    levels.append(Level(category, proc_type, name, tuple(inflections)))
+    levels.append(one(Level(category, proc_type, name, one(tuple(inflections)))))
     return MorphParse(text, tuple(levels))
 
 
@@ -218,12 +231,15 @@ class AnalyzerTable:
         """Load a ``surface<TAB>parse`` table; repeated surfaces accumulate.
 
         A bad parse, or a row that repeats one of its surface's parses,
-        fails with ``path:line``.
+        fails with ``path:line``.  The parses share one object per distinct
+        pair, inflection tuple and level (see :func:`parse_parse_string`),
+        through a table this load alone holds.
         """
         table: dict = {}
+        shared: dict = {}
 
         def add(surface, parse_text):
-            parse = parse_parse_string(parse_text)
+            parse = parse_parse_string(parse_text, shared)
             parses = table.setdefault(sys.intern(surface), [])
             if parse in parses:
                 raise ValueError(f"duplicate parse of {surface!r}")

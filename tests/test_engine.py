@@ -41,6 +41,7 @@ from turklex.fsdb import Database, TemplateEntry, clause_line, dumps, lookup
 from turklex.morph import AnalyzerTable, Level, parse_parse_string
 
 from .test_featstruct import holds_none
+from .test_fsdb import load_unshared
 
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
 ATTR = Cat5.from_text("verb,attributive,none,none,none")
@@ -776,6 +777,26 @@ def _built_ids(fs) -> set:
             return built
         built |= {id(fs["syn"]), id(fs["sem"])}
         fs = fs["morph"]["stem"]
+
+
+@pytest.mark.parametrize("lexicon", sorted(ENGINES))
+def test_every_answer_renders_as_from_unshared_loads(lexicon, tmp_path):
+    """The loads share sets, cat blocks and the default syn between clauses,
+    and levels between parses; no answer may show it."""
+    engine = ENGINES[lexicon](tmp_path)
+    db_path = tmp_path / "lexicon.fdb"
+    unshared = dataclasses.replace(
+        engine,
+        analyzer=AnalyzerTable({surface: [parse_parse_string(parse.text) for parse in parses]
+                                for surface, parses in engine.analyzer.parses.items()}),
+        db=load_unshared(db_path if db_path.exists() else bundled_path("lexicon.fdb")),
+    )
+    for surface in engine.analyzer.surfaces():
+        query = q(f"[phon:{surface}]")
+        ours, theirs = engine.query(query), unshared.query(query)
+        for style in ("compact", "indented"):
+            assert ([render_fs(fs, style) for fs in ours]
+                    == [render_fs(fs, style) for fs in theirs]), surface
 
 
 @pytest.mark.parametrize("lexicon", sorted(ENGINES))

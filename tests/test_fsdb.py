@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from turklex.featstruct import (
     Seq,
     copy_fs,
     fs_equal,
+    node_counts,
     parse_fs_text,
     render_fs,
 )
@@ -272,25 +274,33 @@ def set_nodes(value, found):
     return found
 
 
-@pytest.fixture()
-def unshared_load(monkeypatch):
-    """``load`` as it was before sets were shared: each clause parsed alone."""
-
-    def load_unshared(path):
-        with monkeypatch.context() as patch:
-            patch.setattr(fsdb, "parse_fs_text", lambda text, sets: parse_fs_text(text))
-            return load(path)
-
-    return load_unshared
+def load_unshared(path) -> Database:
+    """A reference ``load`` that shares nothing: each clause is parsed
+    alone, and an entry gets its defaults from ``add_entry``."""
+    db = Database()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("entry"):
+            cat, root, text = fsdb._ENTRY_RE.match(line).groups()
+            add_entry(db, LexiconEntry(Cat5.from_text(cat), root, parse_fs_text(text)))
+        else:
+            cat, text = fsdb._TEMPLATE_RE.match(line).groups()
+            template = fsdb.TemplateEntry(Cat5.from_text(cat), parse_fs_text(text))
+            fsdb.validate_template(template)
+            db.templates[template.cat] = template
+            db.clauses.append(template)
+    return db
 
 
 class TestSharedSets:
-    def test_bundled_sets_are_one_object_per_text(self, seed_db, unshared_load):
+    def test_bundled_sets_are_one_object_per_text(self, seed_db):
         # the sets of each clause, counted once per clause
         sets = [found for clause in seed_db.clauses for found in set_nodes(clause.fs, {}).values()]
         assert (len(sets), len({render_fs(found) for found in sets})) == (28, 17)
         assert len({id(found) for found in sets}) == 17
-        unshared = unshared_load(bundled_path("lexicon.fdb"))
+        unshared = load_unshared(bundled_path("lexicon.fdb"))
         assert len({i for clause in unshared.clauses for i in set_nodes(clause.fs, {})}) == 28
         assert dumps(seed_db) == dumps(unshared)
         for ours, theirs in zip(seed_db.clauses, unshared.clauses):
@@ -330,7 +340,7 @@ class TestSharedSets:
         assert one["x"] == two["x"] and one["x"] is not two["x"]
         assert [clause_line(clause) for clause in db.clauses] == lines
 
-    def test_template_and_entry_with_one_set_derive_as_unshared(self, tmp_path, unshared_load):
+    def test_template_and_entry_with_one_set_derive_as_unshared(self, tmp_path):
         # kaz's subject constraints, also under the infinitive template's syn
         old = ("template nominal,sentential,act,infinitive,ma := [cat:[maj:nominal, "
                "min:sentential, sub:act, ssub:infinitive, sssub:ma], syn:[subcat:none")
@@ -351,11 +361,118 @@ class TestSharedSets:
         also, constraints = template.fs["syn"]["also"], kaz.fs["syn"]["subcat"][0]["constraints"]
         assert also == constraints and also is not constraints
         shared = derive(db)
-        assert shared == derive(unshared_load(path))
+        assert shared == derive(load_unshared(path))
         # the derived result holds the set twice, untagged: as its own copies
         derived = [text for text in shared if "also:" in text]
         assert len(derived) == 1 and f"constraints:{CONSTRAINTS}" in derived[0]
         assert f"also:{CONSTRAINTS}" in derived[0]
+
+
+VERB_CAT = "cat:[maj:verb, min:predicative, sub:none, ssub:none, sssub:none]"
+
+
+def verb(root, cat=VERB_CAT, syn=", syn:[subcat:none]", extra=""):
+    """An entry clause of the root ``root`` under verb,predicative."""
+    return (f"entry verb,predicative,none,none,none {root} := [{cat}, morph:[stem:{root}, "
+            f"form:lexical]{syn}, sem:[concept:{root}-(gloss)]{extra}]")
+
+
+# each file's clauses, the distinct cat blocks of its entries, and the
+# distinct syn blocks
+BLOCK_FILES = {
+    "two of one category": ([verb("a"), verb("b")], 1, 2),
+    "a nested block repeats its cat": ([verb("a"), verb("b", extra=f", x:[{VERB_CAT}]")], 1, 2),
+    "another feature order": (
+        [verb("a"),
+         verb("b", cat="cat:[min:predicative, maj:verb, sub:none, ssub:none, sssub:none]"),
+         verb("c")], 2, 3),
+    "a tagged cat block": (
+        [verb("a"), verb("b", cat=VERB_CAT.replace(":[", ":@1=[", 1), extra=", x:@1")], 2, 2),
+    "entries without syn": ([verb("a", syn=""), verb("b", syn=""), verb("c")], 1, 2),
+    "a template of an entry's category": (
+        [verb("a"), f"template verb,predicative,none,none,none := [{VERB_CAT}]", verb("b")],
+        1, 2),
+}
+
+
+def entry_nodes(db) -> set:
+    return set().union(*(node_counts(c.fs) for c in db.clauses if isinstance(c, LexiconEntry)))
+
+
+class TestSharedBlocks:
+    """A load's entries share one cat block per category and one default
+    syn; that must change nothing a clause shows."""
+
+    @pytest.mark.parametrize("name", ["bundled", *BLOCK_FILES])
+    def test_load_reads_as_the_unshared_reference(self, name, tmp_path):
+        if name == "bundled":
+            path = bundled_path("lexicon.fdb")
+        else:
+            path = tmp_path / "lexicon.fdb"
+            path.write_text("\n".join(BLOCK_FILES[name][0]) + "\n", encoding="utf-8")
+        db, unshared = load(path), load_unshared(path)
+        assert dumps(db) == dumps(unshared)
+        for ours, theirs in zip(db.clauses, unshared.clauses, strict=True):
+            # sharing counts no node twice that the clause's text does not
+            assert sorted(node_counts(ours.fs).values()) == sorted(node_counts(theirs.fs).values())
+            assert ours == theirs
+        entries = browse(db)
+        if name == "bundled":
+            assert len({id(e.fs["cat"]) for e in entries}) == len({e.cat for e in entries})
+        else:
+            _, cats, syns = BLOCK_FILES[name]
+            assert len({id(e.fs["cat"]) for e in entries}) == cats
+            assert len({id(e.fs["syn"]) for e in entries}) == syns
+        for template in db.templates.values():
+            assert entry_nodes(db).isdisjoint(node_counts(template.fs))
+
+    def test_a_nested_block_keeps_its_own_node(self, tmp_path):
+        path = tmp_path / "lexicon.fdb"
+        path.write_text("\n".join(BLOCK_FILES["a nested block repeats its cat"][0]) + "\n",
+                        encoding="utf-8")
+        one, two = (clause.fs for clause in load(path).clauses)
+        assert two["cat"] is one["cat"] and two["x"]["cat"] is not one["cat"]
+
+    def test_synthetic_lexicon_holds_one_cat_block_per_distinct_block(self, synthetic_db):
+        entries = browse(synthetic_db)
+        assert len(entries) > 200
+        blocks = {render_fs(e.fs["cat"]): e.fs["cat"] for e in entries}
+        assert len({id(e.fs["cat"]) for e in entries}) == len(blocks) < 20
+        assert all(e.fs["cat"] is blocks[render_fs(e.fs["cat"])] for e in entries)
+        for template in synthetic_db.templates.values():
+            assert entry_nodes(synthetic_db).isdisjoint(node_counts(template.fs))
+
+    def test_two_loads_share_no_node(self):
+        one, two = (load(bundled_path("lexicon.fdb")) for _ in range(2))
+        assert entry_nodes(one).isdisjoint(entry_nodes(two))
+
+    def test_entries_added_outside_a_load_keep_their_own_nodes(self, db):
+        loaded = entry_nodes(db)
+        one, two = make_entry("yol"), make_entry("su")
+        add_entry(db, one)
+        add_entry(db, two)
+        assert one.fs["syn"] == two.fs["syn"] and one.fs["syn"] is not two.fs["syn"]
+        for entry in (one, two):
+            assert loaded.isdisjoint(node_counts(entry.fs))
+
+    def test_equal_glosses_are_one_object(self, tmp_path):
+        path = tmp_path / "lexicon.fdb"
+        path.write_text("\n".join(entry_lines("x:y", "x:y")) + "\n", encoding="utf-8")
+        one, two = load(path).clauses
+        concepts = [clause.fs["sem"]["concept"] for clause in (one, two)]
+        assert concepts[0].gloss is concepts[1].gloss
+        assert [concept.root for concept in concepts] == ["a", "b"]
+        assert concepts[0].root is one.root and concepts[1].root is two.root
+        # a parse outside a load leaves a new gloss uninterned
+        fresh = parse_fs_text("[c:x-(a gloss no load holds)]")["c"].gloss
+        assert sys.intern("".join(["a gloss ", "no load holds"])) is not fresh
+
+
+@pytest.fixture(scope="module")
+def synthetic_db(tmp_path_factory):
+    from .test_engine import _synthetic_engine
+
+    return _synthetic_engine(tmp_path_factory.mktemp("synthetic")).db
 
 
 class TestSharedCategories:

@@ -295,6 +295,30 @@ class TestAnalyzerTable:
         table = AnalyzerTable.load(path)
         assert table.lookup("at") == table.lookup("atIm")
 
+    def test_equal_levels_of_two_surfaces_are_one_object(self, table):
+        by_value = {}
+        for surface, parses in table.parses.items():
+            for parse in parses:
+                for level in parse.levels:
+                    by_value.setdefault(level, []).append((surface, level))
+        assert any(len({surface for surface, _ in seen}) > 1 for seen in by_value.values())
+        for level, seen in by_value.items():
+            assert all(other is level for _, other in seen), level
+        pairs = {}
+        for level in by_value:
+            for pair in level.inflections:
+                assert pairs.setdefault(pair, pair) is pair
+
+    def test_two_loads_share_nothing(self):
+        def objects(table):
+            levels = [lv for ps in table.parses.values() for p in ps for lv in p.levels]
+            # the empty tuple is one object in the interpreter, whatever loads it
+            return {id(x) for lv in levels for x in (lv, lv.inflections, *lv.inflections)
+                    if x != ()}
+
+        one, two = (AnalyzerTable.load(bundled_path("analyzer.tsv")) for _ in range(2))
+        assert objects(one).isdisjoint(objects(two))
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text(
