@@ -27,7 +27,8 @@ four phases:
 Results share the database's unchanged nodes, the sense's and the
 template's, so they are read-only; a caller who wants to change one
 mutates ``copy_fs(result)``.  The engine itself writes only to nodes it
-has just built.
+has just built.  Most database nodes are frozen values, so the type
+enforces that for them (see :mod:`turklex.fsdb`).
 
 Each phase fills its own lists of a :class:`QueryTrace`: phase 1
 ``parses``; phase 2 ``mappings`` (a ``(level, cat)`` pair per level tried)
@@ -44,16 +45,8 @@ from typing import Optional
 
 from ._data import BUNDLED_FILES, bundled_path
 from .catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
-from .featstruct import (
-    DerivedConcept,
-    FeatStruct,
-    copy_fs,
-    node_counts,
-    project,
-    subsumes,
-    unify,
-)
-from .fsdb import Database, LexiconEntry, load as load_db, lookup, lookup_template
+from .featstruct import DerivedConcept, FeatStruct, FrozenFeatStruct, project, subsumes, unify
+from .fsdb import TAKEN_OVER, Database, LexiconEntry, load as load_db, lookup, lookup_template
 from .morph import AnalyzerTable, Level
 
 
@@ -184,7 +177,7 @@ def _may_satisfy(restriction: FeatStruct, partial: FeatStruct, tp: tuple,
     structure matches no retrieved block.
     """
     for block, wanted in restriction.items():
-        if type(wanted) is not FeatStruct:
+        if not isinstance(wanted, FeatStruct):
             return False
         have = partial[block]
         for name, value in wanted.items():
@@ -220,7 +213,7 @@ def _may_hold(db: Database, tp: tuple, block: str, name: str, value) -> bool:
     if block == "morph" and name == "form":
         return subsumes(value, "derived")
     if block == "morph" and name == "stem":
-        return type(value) is FeatStruct  # nothing else meets a structure
+        return isinstance(value, FeatStruct)  # nothing else meets a structure
     held = template.get(block, {}).get(name)
     return held is not None and subsumes(value, held)
 
@@ -229,7 +222,7 @@ def _may_hold(db: Database, tp: tuple, block: str, name: str, value) -> bool:
 # phase 4: retrieval
 
 def build_derived(level: Level, cat: Cat5, stem_fs: FeatStruct, db: Database,
-                  trace: QueryTrace, copy_template: bool = False) -> Optional[FeatStruct]:
+                  trace: QueryTrace) -> Optional[FeatStruct]:
     """Wrap ``stem_fs`` into a derived structure for one derivation level,
     the analyzer's ``level`` (whose ``name`` is the suffix) mapped to ``cat``.
 
@@ -241,18 +234,13 @@ def build_derived(level: Level, cat: Cat5, stem_fs: FeatStruct, db: Database,
 
     The result's root and its ``morph``, ``syn`` and ``sem`` blocks are
     new; its ``cat`` and the values it takes from the template are the
-    template's own nodes.  A chain that derives one category twice would
-    reach those nodes from two levels, which reads as co-indexing, so
-    ``retrieve`` passes ``copy_template`` for the later level and it reads
-    a copy of the template instead.
+    template's own frozen nodes, values that two levels may both hold.
     """
     trace.events.append(TfsdbAccess(cat))
     template = lookup_template(db, cat)
     if template is None:
         trace.events.append(DropRecord(f"no template for {cat.render()}"))
         return None
-    if copy_template:
-        template = copy_fs(template)
 
     stem_fs["phon"] = "none"  # only the outermost level keeps the surface form
 
@@ -263,26 +251,24 @@ def build_derived(level: Level, cat: Cat5, stem_fs: FeatStruct, db: Database,
     morph.update(level.inflections)
     result["morph"] = morph
 
-    result["syn"] = _take_over(FeatStruct(), "subcat", stem_fs["syn"], template.get("syn", {}))
-    stem_sem = stem_fs["sem"]
-    concept = DerivedConcept(level.name, stem_sem["concept"])
-    result["sem"] = _take_over(
-        FeatStruct([("concept", concept)]), "roles", stem_sem, template.get("sem", {})
-    )
+    result["syn"] = _take_over(FeatStruct(), "syn", stem_fs, template)
+    concept = DerivedConcept(level.name, stem_fs["sem"]["concept"])
+    result["sem"] = _take_over(FeatStruct([("concept", concept)]), "sem", stem_fs, template)
 
     result["phon"] = "none"
     return result
 
 
-def _take_over(block: FeatStruct, name: str, stem_block, template_block) -> FeatStruct:
-    """Fill a derived ``syn`` or ``sem`` block: ``name`` from the stem's
-    block (the stem's object, so role co-indexing survives), or else from
-    the template's, then the template's other features in template order.
-    A template without the block passes an empty one."""
-    if name in stem_block:
-        block[name] = stem_block[name]
-    elif name in template_block:
-        block[name] = template_block[name]
+def _take_over(block: FeatStruct, name: str, stem_fs: FeatStruct, template) -> FeatStruct:
+    """Fill a derived ``syn`` or ``sem`` block, ``name``: the value
+    :data:`~turklex.fsdb.TAKEN_OVER` names, the stem's node (so co-indexing
+    survives) or else the template's, then the template's other features in
+    template order."""
+    taken = TAKEN_OVER[name]
+    template_block = template.get(name, {})
+    value = stem_fs[name].get(taken, template_block.get(taken))
+    if value is not None:  # None is never a value
+        block[taken] = value
     for other, value in template_block.items():
         block.setdefault(other, value)
     return block
@@ -307,12 +293,10 @@ def retrieve(tp: tuple, db: Database, surface: str, trace: QueryTrace) -> list:
         if fs is None:
             trace.events.append(DropRecord(f"inflections conflict with a sense of {root}"))
             continue
-        used = set()  # the categories whose template this chain holds
         for level, cat in tp[1:]:
-            fs = build_derived(level, cat, fs, db, trace, copy_template=cat in used)
+            fs = build_derived(level, cat, fs, db, trace)
             if fs is None:
                 break
-            used.add(cat)
         if fs is None:
             continue
         fs["phon"] = surface
@@ -324,29 +308,17 @@ def inflect(entry: LexiconEntry, inflections: FeatStruct) -> Optional[FeatStruct
     """The sense with ``inflections`` unified into its ``morph`` block, or
     None if they clash.
 
-    Only the path to the change is copied: the result is a new root whose
-    ``morph`` is the unification (a new block), and whose other features
-    (``cat``, ``syn``, ``sem`` and every node below them) are the sense's
-    own nodes.  That keeps the sense's co-indexing unless the ``morph``
-    block or a node inside it is also reached from elsewhere in the sense
-    (``morph:@1=[...], syn:[same:@1]``); such a sense is unified whole, so
-    its copy keeps the tag and every reference sees the inflections.  Which
-    case holds is worked out on the sense's first retrieval and stored on
-    the entry (``morph_coindexed``).
+    A frozen ``morph`` block holds no tag: only the path to the change is
+    copied, and the result is a new root whose ``morph`` is the unification
+    and whose other features are the sense's own nodes.  A mutable one may
+    be co-indexed (``morph:@1=[...], syn:[same:@1]``), so the sense is
+    unified whole: its copy keeps the tag, and every reference sees the
+    inflections.
     """
-    if entry.morph_coindexed is None:
-        whole = node_counts(entry.fs)
-        entry.morph_coindexed = any(
-            whole[i] != n for i, n in node_counts(entry.fs["morph"]).items()
-        )
-    if entry.morph_coindexed:
+    if type(entry.fs["morph"]) is not FrozenFeatStruct:
         return unify(entry.fs, FeatStruct([("morph", inflections)]))
     morph = unify(entry.fs["morph"], inflections)
-    if morph is None:
-        return None
-    fs = FeatStruct(entry.fs)
-    fs["morph"] = morph
-    return fs
+    return None if morph is None else FeatStruct(entry.fs, morph=morph)
 
 
 def final_filter(results, query_fs: FeatStruct) -> list:

@@ -14,38 +14,28 @@ Values stored inside a :class:`FeatStruct` are one of:
 * :class:`FSSet` — an unordered set of structures ``{[...], [...]}``
   (disjunctive constraint sets), a ``list`` whose order does not count
 
-These three are the nodes; everything else is a leaf.  On every node
-``==`` is :func:`fs_equal`: a node equals only a node of its own type with
-equal contents and the same sharing.  Every structure is open: unification
-may add features to it.  The text syntax's trailing ``|_`` marker is
-accepted and changes nothing.
+These three are the nodes; everything else is a leaf, immutable by type
+(``str``, ``frozenset``, and frozen dataclasses for :class:`Neg` and the
+concepts), so copies share leaves.  Each node type has a frozen subclass
+of its kind (:class:`FrozenFeatStruct`, :class:`FrozenSeq`,
+:class:`FrozenFSSet`) whose mutators raise ``TypeError`` and which holds
+only leaves and frozen nodes.  On every node ``==`` is :func:`fs_equal`.
+Every structure is open: unification may add features to it, and the
+text syntax's trailing ``|_`` marker changes nothing.
 
-Co-indexing is physical object sharing: the text syntax ``@n=value`` /
-``@n`` resolves to one shared object at parse time, and the renderer
-re-derives tags from sharing, so there is no tag node type at runtime.
-:func:`unify` takes any two values.  It copies the first with
-:func:`copy_fs` and merges the second into that copy destructively,
-reading the second as it is: under the same memo, a node of the second is
-copied only where the result takes it over, and one that already has a
-copy is read through that copy.  That keeps co-indexed substructures
-co-indexed in the result, inside and across the operands, and the result
-shares no node with either operand.  Only the nodes are copied: the
-leaves are immutable by type (``str``, ``frozenset``, and frozen
-dataclasses for :class:`Neg` and the concepts, whose fields cannot be
-assigned), so copies share them.  A negation or concept that could not be
-written back as text is rejected when it is made.
+Co-indexing is physical object sharing of mutable nodes: ``@n=value`` /
+``@n`` resolves to one object at parse time, and the renderer re-derives
+tags from sharing.  A frozen node is a value instead, which is what lets a
+database share nodes between and within its clauses: the renderer never
+tags one, :func:`fs_equal` compares it by its contents, and
+:func:`copy_fs` gives each place holding it a mutable copy of its own, so
+it never reads as co-indexed however often it is reached.  The parser
+freezes every node below the root that no tag reaches.
 
 ``None`` is never a value, so it means "no value" throughout: :func:`unify`
 returns ``None`` on a clash (never an exception), and ``FeatStruct.get`` and
-:func:`get_path` return ``None`` where no value is.
-
-The parser interns every feature name and atom it returns, and the root
-of every root concept (``sys.intern``), so a database holds one string per
-distinct name or atom however many clauses use it; a load's parse also
-interns concept glosses (see :func:`parse_fs_text`).  That saves memory
-only: code still compares names and atoms with ``==``, never ``is``,
-because structures built through the API may hold strings that were never
-interned.
+:func:`get_path` return ``None`` where no value is.  The parser interns
+names and atoms to save memory only: code compares them with ``==``.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ import sys
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class Neg:
     """Negated atom: unifies with any atom except its own, which must be
     plain (``[A-Za-z0-9_.+/-]+``) so that ``!atom`` parses back."""
@@ -76,7 +66,7 @@ class Concept:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class BaseConcept(Concept):
     """Root concept ``root-(gloss)``: ``root-`` must be plain, and the gloss
     non-empty, unpadded and free of ``)``, so that the text parses back."""
@@ -100,7 +90,7 @@ class BaseConcept(Concept):
 _WRITABLE_SUFFIXES: set = set()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class DerivedConcept(Concept):
     """Concept built by a derivational suffix: ``f_suffix(inner)``.
 
@@ -128,8 +118,8 @@ class DerivedConcept(Concept):
 
 
 class _Node:
-    """What the three node types share: ``==`` is :func:`fs_equal`, so a
-    node equals only a node of its own type, and ``repr`` renders."""
+    """What the node types share: ``==`` is :func:`fs_equal`, so a node
+    equals only a node of its own kind, and ``repr`` renders."""
 
     __slots__ = ()
 
@@ -165,7 +155,38 @@ class FSSet(_Node, list):
     __slots__ = ()
 
 
+def _refuse(node, *args, **kwargs):
+    raise TypeError(f"{type(node).__name__} cannot be changed; copy_fs gives a mutable copy")
+
+
+def _frozen(kind, mutators: str):
+    """A subclass of the node type ``kind`` whose ``mutators`` raise, and
+    whose copy is the node itself, as for any immutable value."""
+    return type(f"Frozen{kind.__name__}", (kind,), {
+        "__slots__": (), "__copy__": lambda node: node, "__deepcopy__": lambda node, memo: node,
+        **dict.fromkeys(mutators.split(), _refuse)})
+
+
+_LIST_MUTATORS = ("__setitem__ __delitem__ __iadd__ __imul__ "
+                  "append clear extend insert pop remove reverse sort")
+FrozenFeatStruct = _frozen(FeatStruct,
+                           "__setitem__ __delitem__ __ior__ clear pop popitem setdefault update")
+FrozenSeq = _frozen(Seq, _LIST_MUTATORS)
+FrozenFSSet = _frozen(FSSet, _LIST_MUTATORS)
+
+# ``type(x) in _NODE_TYPES`` and ``type(x) is FeatStruct`` test for a
+# mutable node, ``isinstance`` for a node of either kind
 _NODE_TYPES = frozenset((FeatStruct, Seq, FSSet))
+# every node type -> the mutable type of its kind
+_KIND = {FeatStruct: FeatStruct, Seq: Seq, FSSet: FSSet,
+         FrozenFeatStruct: FeatStruct, FrozenSeq: Seq, FrozenFSSet: FSSet}
+
+
+def thaw(value):
+    """``value`` itself if it is a leaf or a mutable node, else a mutable
+    node of its kind holding the same values."""
+    kind = _KIND.get(type(value))
+    return value if kind is None or type(value) is kind else kind(value)
 
 
 class FSSyntaxError(ValueError):
@@ -205,8 +226,8 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.tags: dict[int, object] = {}
+        self.tagged = 0  # nodes read from a tag so far: a node is frozen if none was inside it
         self.sets = sets  # plain set text -> its value, shared across texts
-        self.placed: set[int] = set()  # ids of the shared values this text holds
 
     def error(self, message):
         raise FSSyntaxError(message, position=self.pos)
@@ -231,21 +252,24 @@ class _Parser:
         self.ws()
         if self.pos != len(self.text):
             self.error("trailing text after feature structure")
+        fs.__class__ = FeatStruct  # the root is the caller's own
         return fs
 
     def parse_fs(self):
         """The structure whose ``[`` is at ``self.pos``."""
         text = self.text
         intern = sys.intern
+        tagged = self.tagged
         self.pos += 1
         fs = FeatStruct()
         while True:
             m = _FEATURE_RE.match(text, self.pos)
             if m is None:
-                return self.no_feature(fs)
+                self.no_feature(fs)
+                break
             name, atom, sep = m.groups()
             if name in fs:
-                return self.no_feature(fs)
+                self.no_feature(fs)
             self.pos = m.end()
             if sep is None:
                 if text.startswith("[", self.pos):
@@ -255,13 +279,16 @@ class _Parser:
                 m = _SEPARATOR_RE.match(text, self.pos)
                 if m is None:
                     self.open_end()
-                    return fs
+                    break
                 self.pos = m.end()
                 sep = m.group(1)
             else:
                 fs[intern(name)] = intern(atom)
             if sep == "]":
-                return fs
+                break
+        if self.tagged == tagged:
+            fs.__class__ = FrozenFeatStruct
+        return fs
 
     def no_feature(self, fs):
         """Where no new ``name:`` follows: the end of an empty structure,
@@ -269,7 +296,7 @@ class _Parser:
         self.ws()
         if not fs and self.peek() == "]":
             self.pos += 1
-            return fs
+            return
         m = _NAME_RE.match(self.text, self.pos)
         if not m:
             self.error("expected feature name")
@@ -317,12 +344,26 @@ class _Parser:
         return atom
 
     def parse_seq(self):
-        return Seq(self.parse_list(">"))
+        tagged = self.tagged
+        items = self.parse_list(">")
+        return (FrozenSeq if self.tagged == tagged else Seq)(items)
 
     def parse_set(self):
-        return self.parse_braces() if self.sets is None else self.shared_braces()
+        """The set at ``{``: the value in ``self.sets`` when its plain text
+        was parsed before, else a fresh parse, stored if the text is plain."""
+        m = None if self.sets is None else _PLAIN_SET_RE.match(self.text, self.pos)
+        if m is None:
+            return self.parse_braces()
+        value = self.sets.get(m.group())
+        if value is None:
+            value = self.sets[m.group()] = self.parse_braces()
+        else:
+            self.pos = m.end()
+        return value
 
     def parse_tag(self):
+        """The node ``@n=value`` defines, or the one ``@n`` names: mutable,
+        as is each node holding it, since reaching it twice is co-indexing."""
         m = _TAG_RE.match(self.text, self.pos)
         if not m:
             self.pos += 1
@@ -330,16 +371,20 @@ class _Parser:
         num = int(m.group(1))
         self.pos = m.end()
         if m.group(2) is not None:
-            if not self.text.startswith(("[", "<", "{"), self.pos):
+            parse = self.TAGGED.get(self.text[self.pos : self.pos + 1])
+            if parse is None:
                 self.error("tag must name a structure, sequence or set")
             if num in self.tags:
                 self.error(f"tag @{num} defined twice")
-            value = self.STARTS[self.text[self.pos]](self)
-            self.tags[num] = value
-            return value
-        if num not in self.tags:
+            value = self.tags[num] = parse(self)
+        elif num in self.tags:
+            value = self.tags[num]
+        else:
             self.error(f"unresolved tag @{num}")
-        return self.tags[num]
+        if type(value) in _KIND:  # not a set of atoms, which is a leaf
+            value.__class__ = _KIND[type(value)]
+            self.tagged += 1
+        return value
 
     def parse_list(self, close):
         """The comma-separated values after an opening ``<`` or ``{``, up to
@@ -354,33 +399,8 @@ class _Parser:
                 self.expect(close)
                 return items
 
-    def shared_braces(self):
-        """The set at ``{``: the value in ``self.sets`` when its plain text
-        was parsed before, else a fresh parse, stored if the text is plain.
-
-        A shared value goes into one text at most once, since a node reached
-        twice reads as co-indexing, so a repeat within the text is parsed
-        afresh.  A set that is being stored holds no shared value, so the
-        ``placed`` check sees every shared node of the text.
-        """
-        m = _PLAIN_SET_RE.match(self.text, self.pos)
-        if m is None:
-            return self.parse_braces()
-        key = m.group()
-        shared = self.sets.get(key)
-        if shared is not None and id(shared) not in self.placed:
-            self.pos = m.end()
-            self.placed.add(id(shared))
-            return shared
-        sets, self.sets = self.sets, None
-        value = self.parse_braces()
-        self.sets = sets
-        if shared is None:
-            sets[key] = value
-            self.placed.add(id(value))
-        return value
-
     def parse_braces(self):
+        tagged = self.tagged
         items = self.parse_list("}")
         if all(isinstance(i, str) for i in items):
             atoms = frozenset(items)
@@ -388,7 +408,7 @@ class _Parser:
                 return next(iter(atoms))
             return atoms
         if all(isinstance(i, FeatStruct) for i in items):
-            return FSSet(items)
+            return (FrozenFSSet if self.tagged == tagged else FSSet)(items)
         self.error("braces must hold only atoms or only structures")
 
     def parse_atom_or_concept(self):
@@ -426,17 +446,16 @@ class _Parser:
     # concept starts with any other
     STARTS = {"@": parse_tag, "!": parse_neg, "'": parse_quoted, "[": parse_fs,
               "<": parse_seq, "{": parse_set}
+    # what ``@n=`` may name: a set of its own, never the table's
+    TAGGED = {"[": parse_fs, "<": parse_seq, "{": parse_braces}
 
 
 def parse_fs_text(text: str, sets=None) -> FeatStruct:
-    """Parse the compact text syntax into a feature structure.
-
-    Returns a :class:`FeatStruct`, since the text must open with ``[``, or
-    raises :class:`FSSyntaxError` (with position) on malformed input,
-    duplicate feature names, and unresolved tags; no other exception, also
-    for a text that ends early.  Whitespace may stand at either end, after
-    an opening bracket and ``@n=``, around ``:`` and ``,``, and before a
-    closing bracket.
+    """Parse the compact text syntax into a :class:`FeatStruct` (the text
+    opens with ``[``).  Raises :class:`FSSyntaxError` (with position), and
+    no other exception, on malformed input, duplicate feature names and
+    unresolved tags.  Whitespace may stand at either end, after an opening
+    bracket and ``@n=``, around ``:`` and ``,``, and before a closing one.
 
     A structure's features are read one regular-expression match each: the
     name and ``:``, and, where the value is an atom followed by ``,`` or
@@ -445,16 +464,18 @@ def parse_fs_text(text: str, sets=None) -> FeatStruct:
     fits, the error names what a step-by-step reading would have expected
     there: a feature name, ``:``, a value, or ``,``, ``]`` or ``|_``.
 
+    The root is mutable; below it, a node that carries no tag and holds no
+    tagged node is frozen, by a change of class, not a copy.
+
     ``sets``, a dict kept across calls, shares sets between the texts
     parsed with it: each distinct text of a set with no tag, quoted atom or
-    concept inside it is parsed once, and every later text holding it gets
-    the same value (at most once per text).  The results then share nodes,
-    so they must never be mutated; :mod:`turklex.fsdb` passes one dict per
-    load.  A parse with ``sets`` also interns the glosses of root concepts,
-    which a load's clauses repeat.  A parse without it leaves them alone: a
-    gloss is free text, and interning the gloss of each short-lived parse
-    (an edited sense) would churn the interpreter's table of interned
-    strings, whose rebuilds raise the peak memory.
+    concept inside it is parsed once, and every later place holding it
+    gets the same value, frozen or a leaf; :mod:`turklex.fsdb` passes one
+    dict per load.  A parse with ``sets`` also interns the glosses of root
+    concepts, which a load's clauses repeat; a parse without it leaves them
+    alone, since interning the gloss of each short-lived parse (an edited
+    sense) churns the interpreter's table of interned strings, whose
+    rebuilds raise the peak memory.
     """
     return _Parser(text, sets).parse_top()
 
@@ -462,8 +483,9 @@ def parse_fs_text(text: str, sets=None) -> FeatStruct:
 # --------------------------------------------------------------- rendering
 
 def _walk_nodes(value, counts):
-    """Count the references to each node in ``value``, by ``id``.  Every
-    node walked stays reachable from the root, so no ``id`` is reused."""
+    """Count the references to each mutable node in ``value``, by ``id``; a
+    frozen one holds no other.  Every node walked stays reachable from the
+    root, so no ``id`` is reused."""
     if type(value) in _NODE_TYPES:
         i = id(value)
         if i in counts:
@@ -475,9 +497,9 @@ def _walk_nodes(value, counts):
 
 
 def node_counts(value) -> dict:
-    """The number of references to each node of ``value``, by ``id``;
-    ``value`` itself counts one.  A node counted more than once is
-    co-indexed."""
+    """The number of references to each mutable node of ``value``, by
+    ``id``; ``value`` itself counts one.  A node counted more than once is
+    co-indexed; a frozen node is counted never."""
     counts: dict[int, int] = {}
     _walk_nodes(value, counts)
     return counts
@@ -516,28 +538,23 @@ class _Renderer:
         tag, emitted = self.tag_for(value)
         if emitted:
             return tag
-        if type(value) is FeatStruct:
+        if isinstance(value, FeatStruct):
             body = "[" + ", ".join(
                 f"{k}:{self.compact_value(v)}" for k, v in value.items()
             ) + "]"
         else:
-            opening, closing = "<>" if type(value) is Seq else "{}"
+            opening, closing = "<>" if isinstance(value, Seq) else "{}"
             body = opening + ", ".join(map(self.compact_value, value)) + closing
         return tag + body
-
-    def indented_lines(self, fs) -> list[str]:
-        lines: list[str] = []
-        self.indent_parts(fs, 0, lines)
-        return lines
 
     def indent_parts(self, node, depth, lines):
         """A node's features (``name:``) or items (``-`` in a sequence, ``*``
         in a set), one head each, at ``depth``."""
-        if type(node) is FeatStruct:
+        if isinstance(node, FeatStruct):
             for name, value in node.items():
                 self.indent(f"{name}:", value, depth, lines)
         else:
-            bullet = "-" if type(node) is Seq else "*"
+            bullet = "-" if isinstance(node, Seq) else "*"
             for item in node:
                 self.indent(bullet, item, depth, lines)
 
@@ -553,7 +570,7 @@ class _Renderer:
         tag, emitted = self.tag_for(value)
         if emitted:
             lines.append(f"{pad}{head} {tag}")
-        elif type(value) is FeatStruct and not value and (tag or head.endswith(":")):
+        elif isinstance(value, FeatStruct) and not value and (tag or head.endswith(":")):
             lines.append(f"{pad}{head} {tag}[]")
         else:
             lines.append(f"{pad}{head} {tag}" if tag else f"{pad}{head}")
@@ -571,7 +588,9 @@ def render_fs(fs, style: str = "compact") -> str:
     if style == "compact":
         return _Renderer(fs).compact_value(fs)
     if style == "indented":
-        return "\n".join(_Renderer(fs).indented_lines(fs))
+        lines: list[str] = []
+        _Renderer(fs).indent_parts(fs, 0, lines)
+        return "\n".join(lines)
     raise ValueError(f"unknown style {style!r}")
 
 
@@ -579,16 +598,16 @@ def render_fs(fs, style: str = "compact") -> str:
 
 
 def copy_fs(value, memo=None):
-    """Copy the mutable nodes of ``value``, sharing its immutable leaves.
+    """Copy every node of ``value``, frozen or not, into a mutable one,
+    sharing its leaves.
 
-    ``FeatStruct``, ``Seq`` and ``FSSet`` nodes are copied; every other
-    value (atoms, atom sets, negations, concepts) is shared with the
-    original.  ``memo`` maps the id of an original node to its copy, so a
-    node reached twice is copied once: sharing inside ``value`` is kept,
-    and passing one memo to several calls keeps sharing across their
-    values (the originals must stay alive between those calls).
+    ``memo`` maps the id of an original mutable node to its copy, so a
+    mutable node reached twice is copied once: sharing inside ``value`` is
+    kept, and passing one memo to several calls keeps sharing across their
+    values (the originals must stay alive between those calls).  A frozen
+    node is a value: each place holding it gets a copy of its own.
     """
-    if type(value) not in _NODE_TYPES:
+    if type(value) not in _KIND:
         return value
     if memo is None:
         memo = {}
@@ -596,17 +615,18 @@ def copy_fs(value, memo=None):
 
 
 def _copy_node(node, memo):
-    done = memo.get(id(node))
+    done = memo.get(id(node))  # never a frozen node's: none is kept
     if done is not None:
         return done
-    cls = type(node)
+    cls = _KIND[type(node)]
     new = cls.__new__(cls)
-    memo[id(node)] = new  # before the children, so cycles terminate
+    if cls is type(node):
+        memo[id(node)] = new  # before the children, so cycles terminate
     if cls is FeatStruct:
         for name, v in node.items():
-            new[name] = _copy_node(v, memo) if type(v) in _NODE_TYPES else v
+            new[name] = _copy_node(v, memo) if type(v) in _KIND else v
     else:
-        new.extend(_copy_node(v, memo) if type(v) in _NODE_TYPES else v for v in node)
+        new.extend(_copy_node(v, memo) if type(v) in _KIND else v for v in node)
     return new
 
 
@@ -625,20 +645,20 @@ def unify(x, y):
 
 def _meet(a, y, memo, copied):
     """Unify ``y`` into ``a``, a node (or leaf) of the result, in place;
-    returns the unified value or None.
+    returns the unified value or None.  ``y`` may be frozen; ``a`` is not.
 
     ``y`` is an operand's own value while ``copied`` is false; a node of it
     that already has a copy in ``memo`` is read through that copy, and
-    everything below a copy is the result's own, so it is placed as it is.
-    Any other node of ``y`` is copied only where it is placed, or where a
-    constraint set is compared.
+    everything below a copy is the result's own, so it goes in as it is.
+    Any other node of ``y`` is copied only where the result takes it, or
+    where a constraint set is compared.
     """
     if not copied and type(y) in _NODE_TYPES:
         done = memo.get(id(y))
         if done is not None:
             y, copied = done, True
     if type(a) is FeatStruct:
-        if type(y) is not FeatStruct:
+        if not isinstance(y, FeatStruct):
             return None
         for name, yv in y.items():
             if name in a:
@@ -646,13 +666,13 @@ def _meet(a, y, memo, copied):
                 if merged is None:
                     return None
                 a[name] = merged
-            elif copied or type(yv) not in _NODE_TYPES:
+            elif copied or type(yv) not in _KIND:
                 a[name] = yv
             else:
                 a[name] = _copy_node(yv, memo)
         return a
     if type(a) is Seq:
-        if type(y) is not Seq or len(a) != len(y):
+        if not isinstance(y, Seq) or len(a) != len(y):
             return None
         merged = []
         for av, yv in zip(a, y):
@@ -764,25 +784,30 @@ def project(fs: FeatStruct, top_features) -> FeatStruct:
 
 def fs_equal(a, b) -> bool:
     """Structural equality: order-insensitive on features, sensitive to
-    sharing topology (shared nodes must correspond one-to-one)."""
+    sharing topology (shared mutable nodes must correspond one-to-one).  A
+    frozen node equals a node of its kind with equal contents, but never
+    stands for a co-indexed one."""
     return _equal(a, b, {}, {})
 
 
 def _equal(a, b, fwd, rev) -> bool:
-    if type(a) not in _NODE_TYPES and type(b) not in _NODE_TYPES:
+    kind = _KIND.get(type(a))
+    if kind is None and type(b) not in _KIND:
         return a == b
-    if type(a) is not type(b) or len(a) != len(b):
+    if kind is not _KIND.get(type(b)) or len(a) != len(b):
         return False
-    ia, ib = id(a), id(b)
+    # a frozen node is a value: its key is a new object, met by no later visit
+    ia = id(a) if type(a) is kind else object()
+    ib = id(b) if type(b) is kind else object()
     if ia in fwd or ib in rev:
         return fwd.get(ia) == ib and rev.get(ib) == ia
     fwd[ia] = ib
     rev[ib] = ia
-    if type(a) is FeatStruct:
+    if kind is FeatStruct:
         return a.keys() == b.keys() and all(
             _equal(v, b[k], fwd, rev) for k, v in a.items()
         )
-    if type(a) is Seq:
+    if kind is Seq:
         return all(_equal(x, y, fwd, rev) for x, y in zip(a, b))
     # FSSet: unordered — try to match members under a consistent bijection
     return _match_sets(a, list(b), fwd, rev)

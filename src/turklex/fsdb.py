@@ -14,57 +14,31 @@ gradability and the like) before validating the entry invariants.
 A clause is never mutated once it is in a :class:`Database`: ``add_entry``
 fills the defaults before it appends, and ``lookup``, ``lookup_template``
 and ``browse`` return the clauses' own structures, which their callers
-only read.  The engine's ``retrieve`` copies a sense only along the path
-to its change, the root and the ``morph`` block, and ``build_derived``
-builds a derived level's root and blocks but puts the template's ``cat``,
-``morph`` defaults and ``syn``/``sem`` values into it as they are, so
-results share the sense's and the template's other nodes and are
-read-only too.  So ``dumps`` renders each clause's canonical line once,
-the first time it saves that clause, and keeps it on the clause
-(``line``); a later save renders only the clauses added since and joins
-the stored lines.  ``load`` renders nothing.
+only read.  For most nodes the type enforces that: the parser freezes
+every node below a clause's root that no tag reaches, and a frozen node
+is a value (see :mod:`turklex.featstruct`).  Only the nodes co-indexed by
+identity stay mutable: a tagged node, with each node holding one, and the
+value a derived level takes over from its stem (:data:`TAKEN_OVER`),
+with its block.  A template holds no tag (:func:`validate_template`).
+So ``dumps`` renders each clause's canonical line once, the first time it
+saves that clause, and keeps it on the clause (``line``); ``load``
+renders nothing.
 
-The same contract lets one ``load`` share values between entries, in three
-ways:
+The same rule lets one ``load`` share values between and within its
+clauses: each distinct text of a set with no tag, quoted atom or concept
+inside it is parsed once (see :func:`~turklex.featstruct.parse_fs_text`);
+a frozen ``cat`` block that holds just the five slots in ``Cat5`` order,
+which validation has checked against the key, becomes the load's one
+block for its category; and every entry without a ``syn`` gets one
+frozen ``[subcat:none]``.
 
-* It parses each distinct text of a set with no tag, quoted atom or
-  concept inside it once (see :func:`~turklex.featstruct.parse_fs_text`),
-  so every entry that repeats a complement constraint set such as
-  ``{[cat:[maj:nominal, min:{noun, pronoun}], morph:[case:nom]]}`` holds
-  the same object.
-* An entry's ``cat`` block that is written first and untagged
-  (``[cat:[...``) and holds just the five slots in ``Cat5`` order becomes
-  the load's one block for the clause's category.  Validation has checked
-  the slots' atoms against the key, so the clause's ``Cat5`` keys it.
-* Every entry read without a ``syn`` gets the load's one
-  ``[subcat:none]`` block.
-
-Each shared value is the load's own: two loads share nothing, and an
-entry that ``add_entry`` adds outside a load keeps its own nodes.  A
-clause holds a shared value once at most, since a node reached twice
-within a clause reads as co-indexing; a tagged ``cat`` block is reached
-from its tag too, so it is not shared.  Template clauses are parsed
-alone and share no node with any other clause: a derived result holds a
-sense and a template side by side, and a node the two shared would be
-reached twice in it and render as co-indexed.  Nothing mutates a shared
-value: the engine unifies copies, ``retrieve`` hands a sense's nodes on
-in read-only results, and ``fill_entry_defaults`` changes only the
-clause's own root, ``syn`` and ``sem`` structures, and a ``syn`` only
-where it lacks ``subcat``, which the default does not.
-
-A save is atomic: :func:`save` encodes the whole text first, writes it to
-a temporary file beside the target with ``os.open``/``os.write``, gives it
-the target's permission bits with ``fchmod`` and renames it over the target.
-It follows a symlink to the file the link names, and resolves the path
-(``realpath``) only when ``lstat`` finds a link, so a plain save costs
-``lstat``, ``open``, ``fchmod``, ``write``, ``close`` and ``rename``.
-
-A clause whose canonical line would hold a line break cannot be saved in
-this line-based format: ``clause_line`` raises :class:`InvariantError`, so
-``save`` fails before it writes.  ``load`` reads whole stripped lines
-through :func:`~turklex._data.read_rows`, never split on tabs (a quoted
-atom may hold one), and a bad clause raises :class:`DatabaseFormatError`
-naming ``path:line``.
+A save is atomic: :func:`save` writes a temporary file beside the target
+and renames it over the target.  A clause whose canonical line would hold
+a line break cannot be saved: ``clause_line`` raises
+:class:`InvariantError`, so ``save`` fails before it writes.  ``load``
+reads whole stripped lines through :func:`~turklex._data.read_rows`, never
+split on tabs (a quoted atom may hold one), and a bad clause raises
+:class:`DatabaseFormatError` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -83,9 +57,12 @@ from .catmap import Cat5
 from .featstruct import (
     Concept,
     FeatStruct,
+    FrozenFeatStruct,
     FSSyntaxError,
+    node_counts,
     parse_fs_text,
     render_fs,
+    thaw,
 )
 
 
@@ -99,20 +76,14 @@ class InvariantError(ValueError):
 
 @dataclass(slots=True)
 class LexiconEntry:
-    """One sense of a root word.
-
-    Two answers are stored on the entry the first time they are needed,
-    and are None before: ``line``, the clause's canonical line (see
-    :func:`clause_line`), and ``morph_coindexed``, whether the sense's
-    ``morph`` block or a node inside it is also reached from elsewhere in
-    the sense (see :func:`turklex.engine.inflect`).
-    """
+    """One sense of a root word.  ``line``, the clause's canonical line (see
+    :func:`clause_line`), is stored the first time it is needed, and is
+    None before."""
 
     cat: Cat5
     root: str
     fs: FeatStruct
     line: Optional[str] = field(default=None, compare=False, repr=False)
-    morph_coindexed: Optional[bool] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -144,6 +115,24 @@ _COMMON_NOUN_FLAGS = (
     "material", "unit", "container", "countable", "spatial", "temporal", "animate",
 )
 
+# the value a derived level takes over from its stem, by block: the stem's
+# own node, so co-indexed across the levels, and mutable with its block
+TAKEN_OVER = {"syn": "subcat", "sem": "roles"}
+
+# every entry without a ``syn`` takes no complements
+_DEFAULT_SYN = FrozenFeatStruct([("subcat", "none")])
+
+
+def _thaw_taken_over(fs: FeatStruct) -> None:
+    """Thaw each ``syn`` and ``sem`` structure of ``fs``, and the value of
+    it that :data:`TAKEN_OVER` names."""
+    for block, name in TAKEN_OVER.items():
+        value = fs.get(block)
+        if isinstance(value, FeatStruct):
+            value = fs[block] = thaw(value)
+            if name in value:
+                value[name] = thaw(value[name])
+
 
 def _insert_feature(fs: FeatStruct, name: str, value, index: int) -> None:
     """Make ``name`` the feature at position ``index`` of ``fs``."""
@@ -156,60 +145,66 @@ def _insert_feature(fs: FeatStruct, name: str, value, index: int) -> None:
 def fill_entry_defaults(fs: FeatStruct, cat: Cat5) -> None:
     """Fill class-wide default features an entry leaves unstated (in place).
 
-    Idempotent: features already present, whatever their value, are kept.
+    Idempotent: features already present, whatever their value, are kept
+    (a frozen one as an equal mutable one: see :func:`_thaw_taken_over`).
     Only a ``syn`` or ``sem`` that is a structure is filled; validation
     rejects any other.
     """
+    _thaw_taken_over(fs)
     # Every word subcategorises; "none" means it takes no complements.
     syn = fs.get("syn")
     if syn is None:
-        syn = FeatStruct([("subcat", "none")])
         before_sem = list(fs).index("sem") if "sem" in fs else len(fs)
-        _insert_feature(fs, "syn", syn, before_sem)
+        _insert_feature(fs, "syn", _DEFAULT_SYN, before_sem)
     elif isinstance(syn, FeatStruct) and "subcat" not in syn:
         _insert_feature(syn, "subcat", "none", 0)
 
     sem = fs.get("sem")
     if not isinstance(sem, FeatStruct):
         return  # validation will reject the entry anyway
-
-    def default(name: str, value: str) -> None:
-        if name not in sem:
-            sem[name] = value
-
     if (cat.maj, cat.min, cat.sub) == ("nominal", "noun", "common"):
         for flag in _COMMON_NOUN_FLAGS:
-            default(flag, "-")
+            sem.setdefault(flag, "-")
     if cat.maj == "adjectival":
-        default("gradable", "-")
-        default("questional", "-")
+        sem.setdefault("gradable", "-")
+        sem.setdefault("questional", "-")
     if cat.maj == "adverbial":
-        default("questional", "-")
+        sem.setdefault("questional", "-")
     if cat.min == "pronoun":
-        default("definite", "-")
+        sem.setdefault("definite", "-")
     if (cat.maj, cat.min) == ("conjunction", "bracketing"):
-        default("polarity", "+")
-        default("connection", "and")
+        sem.setdefault("polarity", "+")
+        sem.setdefault("connection", "and")
 
 
 # --------------------------------------------------------------------------
 # invariants
 
-def _require_block(fs: FeatStruct, name: str, what: str) -> FeatStruct:
-    block = fs.get(name)
+def _head(clause) -> str:
+    """How a message or a line names a clause."""
+    if isinstance(clause, TemplateEntry):
+        return f"template {clause.cat.render()}"
+    return f"entry {clause.cat.render()} {clause.root}"
+
+
+def _invalid(clause, message: str) -> InvariantError:
+    """The error for a broken invariant: the head is built on failure only."""
+    return InvariantError(f"{_head(clause)}: {message}")
+
+
+def _require_block(clause, name: str) -> FeatStruct:
+    block = clause.fs.get(name)
     if not isinstance(block, FeatStruct):
-        raise InvariantError(f"{what}: {name} block is missing or not a structure")
+        raise _invalid(clause, f"{name} block is missing or not a structure")
     return block
 
 
-def _check_cat(fs: FeatStruct, cat: Cat5, what: str) -> None:
-    """The ``cat`` block of ``fs`` must spell out the clause's key ``cat``."""
-    cat_fs = _require_block(fs, "cat", what)
-    for slot, expected in zip(cat._fields, cat):
+def _check_cat(clause) -> None:
+    """The clause's ``cat`` block must spell out its key."""
+    cat_fs = _require_block(clause, "cat")
+    for slot, expected in zip(clause.cat._fields, clause.cat):
         if cat_fs.get(slot) != expected:
-            raise InvariantError(
-                f"{what}: cat|{slot} is {cat_fs.get(slot)!r}, key says {expected!r}"
-            )
+            raise _invalid(clause, f"cat|{slot} is {cat_fs.get(slot)!r}, key says {expected!r}")
 
 
 _ROOT_RE = re.compile(r"\S+")
@@ -217,41 +212,48 @@ _ROOT_RE = re.compile(r"\S+")
 
 def validate_entry(entry: LexiconEntry) -> None:
     """Check the structural invariants every entry must satisfy."""
-    what = f"entry {entry.cat.render()} {entry.root}"
     if _ROOT_RE.fullmatch(entry.root) is None:
-        raise InvariantError(f"{what}: root {entry.root!r} is not one word without whitespace")
-    _check_cat(entry.fs, entry.cat, what)
-    morph = _require_block(entry.fs, "morph", what)
+        raise _invalid(entry, f"root {entry.root!r} is not one word without whitespace")
+    _check_cat(entry)
+    morph = _require_block(entry, "morph")
     if morph.get("stem") != entry.root:
-        raise InvariantError(f"{what}: morph|stem {morph.get('stem')!r} differs from root")
+        raise _invalid(entry, f"morph|stem {morph.get('stem')!r} differs from root")
     if morph.get("form") != "lexical":
-        raise InvariantError(f"{what}: morph|form must be 'lexical'")
-    _require_block(entry.fs, "syn", what)
-    sem = _require_block(entry.fs, "sem", what)
+        raise _invalid(entry, "morph|form must be 'lexical'")
+    _require_block(entry, "syn")
+    sem = _require_block(entry, "sem")
     concept = sem.get("concept")
     if concept is None:
-        raise InvariantError(f"{what}: sem|concept is missing")
+        raise _invalid(entry, "sem|concept is missing")
     if not isinstance(concept, Concept):
-        raise InvariantError(f"{what}: sem|concept {concept!r} is not a concept")
+        raise _invalid(entry, f"sem|concept {concept!r} is not a concept")
     if (entry.cat.maj, entry.cat.min, entry.cat.sub) == ("nominal", "noun", "common"):
         for flag in _COMMON_NOUN_FLAGS:
             if flag not in sem:
-                raise InvariantError(f"{what}: common noun lacks sem|{flag}")
+                raise _invalid(entry, f"common noun lacks sem|{flag}")
 
 
 def validate_template(template: TemplateEntry) -> None:
     """A template's ``cat`` spells out its key, each ``morph``, ``syn`` or
-    ``sem`` it holds is a structure, and its ``morph`` sets none of
-    ``stem``, ``form`` and ``derv_suffix``, which the engine's
-    ``build_derived`` sets on a derived level."""
-    what = f"template {template.cat.render()}"
-    _check_cat(template.fs, template.cat, what)
+    ``sem`` it holds is a structure, its ``morph`` sets none of ``stem``,
+    ``form`` and ``derv_suffix``, which the engine's ``build_derived`` sets
+    on a derived level, and it holds no tag.
+
+    A chain that derives one category twice holds the template's nodes
+    twice, so each must be frozen: the only mutable nodes may be the
+    ``syn`` and ``sem`` blocks and the values of :data:`TAKEN_OVER`.
+    """
+    _check_cat(template)
     for name in ("morph", "syn", "sem"):
         if name in template.fs:
-            _require_block(template.fs, name, what)
+            _require_block(template, name)
     for name in ("stem", "form", "derv_suffix"):
         if name in template.fs.get("morph", ()):
-            raise InvariantError(f"{what}: morph|{name} is set by the derivation")
+            raise _invalid(template, f"morph|{name} is set by the derivation")
+    for name, value in template.fs.items():
+        thawed = {id(value), id(value.get(TAKEN_OVER[name]))} if name in TAKEN_OVER else set()
+        if node_counts(value).keys() - thawed:
+            raise _invalid(template, f"{name} holds a tag, which a template may not")
 
 
 # --------------------------------------------------------------------------
@@ -329,9 +331,8 @@ def load(path) -> Database:
     pass during the load would scan the growing database and free nothing.
     """
     db = Database()
-    sets: dict = {}  # one value per distinct plain set text of the entries
-    cats: dict = {}  # one cat block per category, keyed by the clause's Cat5
-    syn = FeatStruct([("subcat", "none")])  # the entries' one default syn
+    sets: dict = {}  # one value per distinct plain set text
+    cats: dict = {}  # one frozen cat block per category, keyed by the clause's Cat5
 
     def add_clause(line: str) -> None:
         if line.startswith("entry"):
@@ -340,37 +341,35 @@ def load(path) -> Database:
                 raise DatabaseFormatError("malformed entry clause")
             cat_text, root, fs_text = match.groups()
             root = sys.intern(root)
-            shared = sets
         elif line.startswith("template"):
             match = _TEMPLATE_RE.match(line)
             if match is None:
                 raise DatabaseFormatError("malformed template clause")
             cat_text, fs_text = match.groups()
             root = None
-            shared = None  # a template shares no node with another clause
         else:
             keyword = line.split()[0]
             raise DatabaseFormatError(f"expected 'entry' or 'template', got {keyword!r}")
 
         try:
             cat = Cat5.from_text(cat_text)
-            fs = parse_fs_text(fs_text, shared)
+            fs = parse_fs_text(fs_text, sets)
             if root is not None:
-                stated = "syn" in fs
                 add_entry(db, LexiconEntry(cat, root, fs))
-                if not stated:
-                    fs["syn"] = syn
-                # validated, so a block of the five slots in order holds
-                # just the key's atoms; untagged, it is reached only here
-                if fs_text.startswith("[cat:[") and tuple(fs["cat"]) == Cat5._fields:
-                    fs["cat"] = cats.setdefault(cat, fs["cat"])
-                return
-            template = TemplateEntry(cat, fs)
-            validate_template(template)
+            else:
+                _thaw_taken_over(fs)
+                template = TemplateEntry(cat, fs)
+                validate_template(template)
         except FSSyntaxError as exc:
             raise DatabaseFormatError(f"bad feature structure: {exc}") from exc
         except ValueError as exc:  # a bad category text or a broken invariant
             raise DatabaseFormatError(str(exc)) from exc
+        # validated, so a frozen block of the five slots in order holds just
+        # the key's atoms, and renders as every other such block does
+        if type(fs["cat"]) is FrozenFeatStruct and tuple(fs["cat"]) == Cat5._fields:
+            fs["cat"] = cats.setdefault(cat, fs["cat"])
+        if root is not None:
+            return
         if cat in db.templates:
             raise DatabaseFormatError(f"duplicate template for {cat.render()}")
         db.templates[cat] = template
@@ -395,10 +394,7 @@ def clause_line(clause) -> str:
     quoted atom or a concept gloss can), which the file could not hold.
     """
     if clause.line is None:
-        if isinstance(clause, TemplateEntry):
-            head = f"template {clause.cat.render()}"
-        else:
-            head = f"entry {clause.cat.render()} {clause.root}"
+        head = _head(clause)
         line = f"{head} := {render_fs(clause.fs, style='compact')}"
         if "\n" in line or "\r" in line:
             raise InvariantError(f"{head}: a clause holding a line break cannot be saved")

@@ -1,5 +1,6 @@
 """Unit and property tests for the feature-structure algebra."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -11,6 +12,9 @@ from turklex.featstruct import (
     BaseConcept,
     DerivedConcept,
     FeatStruct,
+    FrozenFeatStruct,
+    FrozenFSSet,
+    FrozenSeq,
     FSSet,
     FSSyntaxError,
     Neg,
@@ -24,6 +28,7 @@ from turklex.featstruct import (
     project,
     render_fs,
     subsumes,
+    thaw,
     unify,
 )
 
@@ -404,27 +409,58 @@ def test_shared_sets_are_one_value_across_texts():
     assert parse_fs_text(f"[c:{CONSTRAINTS}]", {})["c"] is not one["c"]
 
 
-def test_shared_set_goes_into_a_text_once():
+def test_shared_set_may_repeat_in_a_text_as_a_value():
     sets = {}
     first = parse_fs_text(f"[c:{CONSTRAINTS}]", sets)["c"]
+    assert type(first) is FrozenFSSet
     text = f"[a:{CONSTRAINTS}, b:{CONSTRAINTS}, c:[d:{CONSTRAINTS}]]"
     fs = parse_fs_text(text, sets)
-    assert fs["a"] is first
-    assert fs["b"] is not first and fs["c"]["d"] is not first and fs["b"] is not fs["c"]["d"]
+    assert fs["a"] is first and fs["b"] is first and fs["c"]["d"] is first
     assert render_fs(fs) == text
+    # a set read from a tag is a mutable node of its own, never the table's
     text = f"[a:{CONSTRAINTS}, b:@1={CONSTRAINTS}, c:@1]"
     tagged = parse_fs_text(text, sets)
     assert tagged["a"] is first and tagged["b"] is tagged["c"] is not first
+    assert type(tagged["b"]) is FSSet and type(first) is FrozenFSSet
     assert render_fs(tagged) == text
-    # a stored set holds no shared set, so a shared inner set cannot repeat
+    # a set stored in the table holds the table's sets
     inner = "{[b:x]}"
     outer = f"{{[a:{inner}]}}"
-    parse_fs_text(f"[o:{outer}, i:{inner}]", sets)
     text = f"[o:{outer}, i:{inner}, j:{inner}]"
     nested = parse_fs_text(text, sets)
-    assert nested["o"] is sets[outer] and nested["i"] is sets[inner]
-    assert nested["i"] is not nested["o"][0]["a"] and nested["j"] is not nested["i"]
+    assert nested["o"] is sets[outer] and nested["i"] is nested["j"] is sets[inner]
+    assert nested["o"][0]["a"] is sets[inner]
     assert render_fs(nested) == text
+
+
+def test_the_parser_freezes_every_node_no_tag_reaches():
+    text = "[a:[b:c], d:@1=[e:[f:g]], h:<@1, [i:j]>, k:[l:[m:@2=<n>], o:@2], p:{[q:r]}, s:<t>]"
+    fs = parse_fs_text(text)
+    kinds = {name: type(value) for name, value in fs.items()}
+    assert type(fs) is FeatStruct  # the root is the caller's own
+    assert kinds == {"a": FrozenFeatStruct, "d": FeatStruct, "h": Seq, "k": FeatStruct,
+                     "p": FrozenFSSet, "s": FrozenSeq}
+    assert type(fs["d"]["e"]) is FrozenFeatStruct and type(fs["h"][1]) is FrozenFeatStruct
+    assert type(fs["k"]["l"]) is FeatStruct and type(fs["k"]["l"]["m"]) is Seq
+    # a tagged atom set is a leaf, and leaves the structure holding it frozen
+    assert type(parse_fs_text("[a:[b:@1={c, d}, e:@1]]")["a"]) is FrozenFeatStruct
+    assert render_fs(fs) == text
+
+
+def test_a_frozen_node_is_copied_apart_and_never_tagged():
+    frozen = parse_fs_text("[x:[a:<[b:c]>]]")["x"]
+    twice = FeatStruct([("p", frozen), ("q", FeatStruct([("r", frozen)]))])
+    assert node_counts(twice) == {id(twice): 1, id(twice["q"]): 1}
+    assert render_fs(twice) == "[p:[a:<[b:c]>], q:[r:[a:<[b:c]>]]]"
+    out = copy_fs(twice)
+    assert out["p"] is not out["q"]["r"] and out["p"]["a"] is not out["q"]["r"]["a"]
+    assert all(type(node) in (FeatStruct, Seq) for node in (out["p"], out["p"]["a"], out["p"]["a"][0]))
+    assert render_fs(out) == render_fs(twice) and out == twice
+    # a mutable node reached twice is co-indexed, and so is its copy
+    shared = thaw(frozen)
+    coindexed = FeatStruct([("p", shared), ("q", shared)])
+    assert render_fs(copy_fs(coindexed)) == "[p:@1=[a:<[b:c]>], q:@1]"
+    assert copy.copy(frozen) is frozen and copy.deepcopy(frozen) is frozen
 
 
 @pytest.mark.parametrize(
@@ -701,7 +737,7 @@ def test_unify_agrees_with_copying_both_operands(pair):
 
 def test_unify_reads_a_shared_node_through_its_copy():
     # N is in both operands; y's N is read through x's copy of it, and the
-    # children of that copy are placed as they are, so @2 survives
+    # children of that copy go in as they are, so @2 survives
     n = parse_fs_text("[cat:[]]")
     x = parse_fs_text("[first:@1=[], other:[], second:@1]")
     x["cat"] = n

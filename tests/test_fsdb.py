@@ -17,6 +17,9 @@ from turklex.engine import LexiconEngine
 from turklex.featstruct import (
     BaseConcept,
     FeatStruct,
+    FrozenFeatStruct,
+    FrozenFSSet,
+    FrozenSeq,
     FSSet,
     Neg,
     Seq,
@@ -25,8 +28,10 @@ from turklex.featstruct import (
     node_counts,
     parse_fs_text,
     render_fs,
+    thaw,
 )
 from turklex.fsdb import (
+    TAKEN_OVER,
     Database,
     DatabaseFormatError,
     InvariantError,
@@ -61,12 +66,13 @@ def seed_db():
 
 
 def make_entry(root="yol", concept="road", cat=COMMON):
+    """A new sense whose nodes are all mutable, so a test can change it."""
     fs = parse_fs_text(
         f"[cat:[maj:{cat.maj}, min:{cat.min}, sub:{cat.sub}, ssub:{cat.ssub}, "
         f"sssub:{cat.sssub}], morph:[stem:{root}, form:lexical], "
         f"sem:[concept:{root}-({concept})], phon:{root}]"
     )
-    return LexiconEntry(cat, root, fs)
+    return LexiconEntry(cat, root, copy_fs(fs))
 
 
 class TestLoad:
@@ -317,14 +323,16 @@ class TestSharedSets:
         assert two["y"]["x"] is one["x"] and two["m"] is one["m"]
         assert dumps(db) == text
 
-    def test_equal_sets_in_one_clause_stay_two_objects(self, tmp_path):
+    def test_equal_sets_in_one_clause_are_one_frozen_value(self, tmp_path):
         lines = entry_lines(f"x:{CONSTRAINTS}",
                             f"x:{CONSTRAINTS}, y:[z:{CONSTRAINTS}]")
         path = tmp_path / "db.fdb"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         db = load(path)
         one, two = (clause.fs for clause in db.clauses)
-        assert two["x"] is one["x"] and two["y"]["z"] is not one["x"]
+        assert two["x"] is one["x"] and two["y"]["z"] is one["x"]
+        assert type(one["x"]) is FrozenFSSet
+        # a value reached twice in one clause reads as two equal values
         assert [clause_line(clause) for clause in db.clauses] == lines
         assert "@" not in dumps(db)
 
@@ -357,12 +365,12 @@ class TestSharedSets:
         db = load(path)
         (kaz,) = lookup(db, PRED, "kaz")
         template = db.templates[Cat5.from_text("nominal,sentential,act,infinitive,ma")]
-        # a template is parsed alone: equal sets, two objects
+        # a template shares the load's sets too: one frozen value
         also, constraints = template.fs["syn"]["also"], kaz.fs["syn"]["subcat"][0]["constraints"]
-        assert also == constraints and also is not constraints
+        assert also is constraints and type(also) is FrozenFSSet
         shared = derive(db)
         assert shared == derive(load_unshared(path))
-        # the derived result holds the set twice, untagged: as its own copies
+        # the derived result holds the set twice, untagged
         derived = [text for text in shared if "also:" in text]
         assert len(derived) == 1 and f"constraints:{CONSTRAINTS}" in derived[0]
         assert f"also:{CONSTRAINTS}" in derived[0]
@@ -377,8 +385,10 @@ def verb(root, cat=VERB_CAT, syn=", syn:[subcat:none]", extra=""):
             f"form:lexical]{syn}, sem:[concept:{root}-(gloss)]{extra}]")
 
 
-# each file's clauses, the distinct cat blocks of its entries, and the
-# distinct syn blocks
+TEMPLATE = f"template verb,predicative,none,none,none := [{VERB_CAT}]"
+
+# each file's clauses, the distinct cat blocks of its clauses, and the
+# distinct syn blocks of its entries
 BLOCK_FILES = {
     "two of one category": ([verb("a"), verb("b")], 1, 2),
     "a nested block repeats its cat": ([verb("a"), verb("b", extra=f", x:[{VERB_CAT}]")], 1, 2),
@@ -389,19 +399,19 @@ BLOCK_FILES = {
     "a tagged cat block": (
         [verb("a"), verb("b", cat=VERB_CAT.replace(":[", ":@1=[", 1), extra=", x:@1")], 2, 2),
     "entries without syn": ([verb("a", syn=""), verb("b", syn=""), verb("c")], 1, 2),
-    "a template of an entry's category": (
-        [verb("a"), f"template verb,predicative,none,none,none := [{VERB_CAT}]", verb("b")],
-        1, 2),
+    "a template of an entry's category": ([verb("a"), TEMPLATE, verb("b")], 1, 2),
 }
 
 
 def entry_nodes(db) -> set:
+    """The mutable nodes of the database's entries, by id."""
     return set().union(*(node_counts(c.fs) for c in db.clauses if isinstance(c, LexiconEntry)))
 
 
 class TestSharedBlocks:
-    """A load's entries share one cat block per category and one default
-    syn; that must change nothing a clause shows."""
+    """A load's clauses share one frozen cat block per category, and its
+    entries without syn one frozen default; that must change nothing a
+    clause shows."""
 
     @pytest.mark.parametrize("name", ["bundled", *BLOCK_FILES])
     def test_load_reads_as_the_unshared_reference(self, name, tmp_path):
@@ -413,18 +423,19 @@ class TestSharedBlocks:
         db, unshared = load(path), load_unshared(path)
         assert dumps(db) == dumps(unshared)
         for ours, theirs in zip(db.clauses, unshared.clauses, strict=True):
-            # sharing counts no node twice that the clause's text does not
-            assert sorted(node_counts(ours.fs).values()) == sorted(node_counts(theirs.fs).values())
             assert ours == theirs
-        entries = browse(db)
         if name == "bundled":
-            assert len({id(e.fs["cat"]) for e in entries}) == len({e.cat for e in entries})
+            assert len({id(c.fs["cat"]) for c in db.clauses}) == len({c.cat for c in db.clauses})
         else:
             _, cats, syns = BLOCK_FILES[name]
-            assert len({id(e.fs["cat"]) for e in entries}) == cats
-            assert len({id(e.fs["syn"]) for e in entries}) == syns
-        for template in db.templates.values():
-            assert entry_nodes(db).isdisjoint(node_counts(template.fs))
+            assert len({id(c.fs["cat"]) for c in db.clauses}) == cats
+            assert len({id(e.fs["syn"]) for e in browse(db)}) == syns
+
+    def test_a_template_holds_the_cat_block_of_its_entries(self, tmp_path):
+        path = tmp_path / "lexicon.fdb"
+        path.write_text("\n".join([verb("a"), TEMPLATE]) + "\n", encoding="utf-8")
+        entry, template = load(path).clauses
+        assert template.fs["cat"] is entry.fs["cat"] and type(entry.fs["cat"]) is FrozenFeatStruct
 
     def test_a_nested_block_keeps_its_own_node(self, tmp_path):
         path = tmp_path / "lexicon.fdb"
@@ -439,21 +450,22 @@ class TestSharedBlocks:
         blocks = {render_fs(e.fs["cat"]): e.fs["cat"] for e in entries}
         assert len({id(e.fs["cat"]) for e in entries}) == len(blocks) < 20
         assert all(e.fs["cat"] is blocks[render_fs(e.fs["cat"])] for e in entries)
-        for template in synthetic_db.templates.values():
-            assert entry_nodes(synthetic_db).isdisjoint(node_counts(template.fs))
 
-    def test_two_loads_share_no_node(self):
+    def test_two_loads_share_no_mutable_node(self):
         one, two = (load(bundled_path("lexicon.fdb")) for _ in range(2))
         assert entry_nodes(one).isdisjoint(entry_nodes(two))
+        # the one default syn is a frozen constant, the same in every load
+        (o_one,), (o_two,) = (lookup(db, Cat5.from_text("nominal,pronoun,demonstrative"), "o")
+                              for db in (one, two))
+        assert o_one.fs["syn"] is o_two.fs["syn"] and type(o_one.fs["syn"]) is FrozenFeatStruct
 
-    def test_entries_added_outside_a_load_keep_their_own_nodes(self, db):
-        loaded = entry_nodes(db)
+    def test_entries_added_outside_a_load_get_the_frozen_default_syn(self, db):
         one, two = make_entry("yol"), make_entry("su")
         add_entry(db, one)
         add_entry(db, two)
-        assert one.fs["syn"] == two.fs["syn"] and one.fs["syn"] is not two.fs["syn"]
-        for entry in (one, two):
-            assert loaded.isdisjoint(node_counts(entry.fs))
+        assert one.fs["syn"] is two.fs["syn"] and type(one.fs["syn"]) is FrozenFeatStruct
+        # fill_entry_defaults writes the sem defaults into a block of the entry's own
+        assert one.fs["sem"] is not two.fs["sem"] and type(one.fs["sem"]) is FeatStruct
 
     def test_equal_glosses_are_one_object(self, tmp_path):
         path = tmp_path / "lexicon.fdb"
@@ -473,6 +485,164 @@ def synthetic_db(tmp_path_factory):
     from .test_engine import _synthetic_engine
 
     return _synthetic_engine(tmp_path_factory.mktemp("synthetic")).db
+
+
+# --------------------------------------------------------------------------
+# the type rule: a database node no tag reaches is frozen, and a value
+
+MUTABLE = (FeatStruct, Seq, FSSet)
+FROZEN = (FrozenFeatStruct, FrozenSeq, FrozenFSSet)
+
+# each frozen kind's mutators, with arguments that would change a node of
+# two items or more
+MUTATORS = {
+    FrozenFeatStruct: [("__setitem__", "x", "y"), ("__delitem__", "cat"), ("__ior__", {"x": "y"}),
+                       ("clear",), ("pop", "cat"), ("popitem",), ("setdefault", "x", "y"),
+                       ("update", {"x": "y"})],
+    FrozenSeq: [("__setitem__", 0, "y"), ("__delitem__", 0), ("__iadd__", ["y"]), ("__imul__", 2),
+                ("append", "y"), ("clear",), ("extend", ["y"]), ("insert", 0, "y"), ("pop",),
+                ("remove", None), ("reverse",), ("sort",)],
+}
+MUTATORS[FrozenFSSet] = MUTATORS[FrozenSeq]
+
+
+def nodes_below(value, path=()):
+    """(path, node) for every node reached from ``value``, ``value`` itself
+    included, once per path; a path step into a list is the item's index."""
+    if isinstance(value, MUTABLE):
+        yield path, value
+        items = value.items() if isinstance(value, FeatStruct) else enumerate(value)
+        for step, inner in items:
+            yield from nodes_below(inner, path + (step,))
+
+
+# a node of each frozen kind, each of two items or more, and in one text
+SAMPLE = "[f:[cat:a, b:c], s:<a, [b:c]>, t:{[a:b], [c:d]}]"
+
+
+@pytest.fixture(scope="module", params=["bundled", "coindexed", "synthetic"])
+def loaded(request, tmp_path_factory):
+    """The database of each of the three ``ENGINES`` of ``test_engine``, and
+    its file."""
+    from .test_engine import ENGINES
+
+    directory = tmp_path_factory.mktemp(request.param)
+    db = ENGINES[request.param](directory).db
+    path = directory / "lexicon.fdb"
+    return db, path if path.exists() else bundled_path("lexicon.fdb")
+
+
+def frozen_nodes(db):
+    """Every frozen node of the database, once each, by id."""
+    return {id(node): node for clause in db.clauses
+            for _, node in nodes_below(clause.fs) if type(node) in FROZEN}
+
+
+class TestFrozenNodes:
+    def test_every_mutator_of_each_frozen_kind_raises(self, loaded):
+        db, _ = loaded
+        nodes = list(frozen_nodes(db).values()) + [*parse_fs_text(SAMPLE).values()]
+        kinds = {type(node) for node in nodes}
+        assert kinds == set(FROZEN)
+        for kind in kinds:
+            node = max((n for n in nodes if type(n) is kind), key=len)
+            before = render_fs(node)
+            for name, *args in MUTATORS[kind]:
+                if name == "remove":
+                    args = [node[0]]
+                with pytest.raises(TypeError, match="cannot be changed"):
+                    getattr(node, name)(*args)
+            assert render_fs(node) == before, kind
+
+    def test_below_the_root_only_tagged_and_taken_over_nodes_are_mutable(self, loaded):
+        db, _ = loaded
+        taken_over = {(block,) for block in TAKEN_OVER} | {*TAKEN_OVER.items()}
+        for clause in db.clauses:
+            assert type(clause.fs) is FeatStruct
+            counts = node_counts(clause.fs)
+            for path, node in nodes_below(clause.fs):
+                inner = node.values() if isinstance(node, FeatStruct) else node
+                holds_mutable = any(type(value) in MUTABLE for value in inner)
+                if type(node) in FROZEN:
+                    assert not holds_mutable, (clause_line(clause), path)
+                elif path:
+                    tagged = counts[id(node)] > 1
+                    assert tagged or holds_mutable or path in taken_over, (clause_line(clause), path)
+            for block, name in TAKEN_OVER.items():
+                value = clause.fs.get(block, {}).get(name)
+                if isinstance(value, MUTABLE):
+                    assert type(value) in MUTABLE and type(clause.fs[block]) in MUTABLE
+
+    def test_dumps_equals_the_unshared_reference(self, loaded):
+        db, path = loaded
+        assert dumps(db) == dumps(load_unshared(path))
+
+    def test_a_frozen_node_equals_a_mutable_one_of_equal_content(self, loaded):
+        db, _ = loaded
+        for clause in db.clauses:
+            copy = copy_fs(clause.fs)
+            assert fs_equal(clause.fs, copy) and fs_equal(copy, clause.fs)
+        for node in frozen_nodes(db).values():
+            for twin in (copy_fs(node), thaw(node)):
+                assert type(twin) is MUTABLE[FROZEN.index(type(node))]
+                assert fs_equal(node, twin) and fs_equal(twin, node) and node == twin
+
+    def test_a_frozen_node_never_stands_for_a_co_indexed_one(self, loaded):
+        db, _ = loaded
+        for node in frozen_nodes(db).values():
+            twice = FeatStruct([("a", node), ("b", node)])
+            one = copy_fs(node)
+            coindexed = FeatStruct([("a", one), ("b", one)])
+            apart = FeatStruct([("a", copy_fs(node)), ("b", copy_fs(node))])
+            assert not fs_equal(twice, coindexed) and not fs_equal(coindexed, twice)
+            assert fs_equal(twice, apart) and fs_equal(apart, twice)
+            assert "@" not in render_fs(twice) and render_fs(coindexed).startswith("[a:@1=")
+
+    def test_each_frozen_kind_renders_as_its_mutable_twin(self, loaded):
+        db, _ = loaded
+        nodes = list(frozen_nodes(db).values()) + [*parse_fs_text(SAMPLE).values()]
+        for node in nodes:
+            for style in ("compact", "indented"):
+                for value in (node, FeatStruct([("x", node), ("y", node)])):
+                    assert render_fs(value, style) == render_fs(copy_fs(value), style)
+        for clause in db.clauses:
+            for style in ("compact", "indented"):
+                assert render_fs(clause.fs, style) == render_fs(copy_fs(clause.fs), style)
+
+    def test_a_template_holding_a_tag_is_rejected_with_its_line(self, tmp_path):
+        text = bundled_path("lexicon.fdb").read_text(encoding="utf-8").splitlines()
+        (i,) = [i for i, line in enumerate(text)
+                if line.startswith("template adjectival,adjective,qualitative")]
+        for tagged in ("syn:[subcat:none, modifies:@1=[cat:[maj:nominal, min:noun, "
+                       "sub:common]]], sem:[x:@1, ",
+                       "syn:[subcat:none, modifies:[cat:@1=[maj:nominal, min:noun, "
+                       "sub:common], x:@1]], sem:["):
+            lines = list(text)
+            old = "syn:[subcat:none, modifies:[cat:[maj:nominal, min:noun, sub:common]]], sem:["
+            assert old in lines[i]
+            lines[i] = lines[i].replace(old, tagged)
+            path = tmp_path / "lexicon.fdb"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(
+                DatabaseFormatError,
+                match=rf"^{path}:{i + 1}: template adjectival,adjective,qualitative,none,none: "
+                r"(syn|sem) holds a tag, which a template may not$",
+            ):
+                load(path)
+
+    def test_a_template_may_hand_over_a_node(self, tmp_path):
+        # the syn and sem blocks and their subcat and roles are mutable, as
+        # in an entry, and no other node of the template is
+        path = tmp_path / "lexicon.fdb"
+        path.write_text(f"template verb,predicative,none,none,none := [{VERB_CAT}, "
+                        "syn:[subcat:<[a:b]>, x:[c:d]], sem:[roles:[agent:e], f:[g:h]]]\n",
+                        encoding="utf-8")
+        (template,) = load(path).clauses
+        syn, sem = template.fs["syn"], template.fs["sem"]
+        assert [type(node) for node in (syn, syn["subcat"], sem, sem["roles"])] == [
+            FeatStruct, Seq, FeatStruct, FeatStruct]
+        assert [type(node) for node in (syn["x"], sem["f"], syn["subcat"][0])] == [
+            FrozenFeatStruct] * 3
 
 
 class TestSharedCategories:
