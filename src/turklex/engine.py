@@ -297,10 +297,9 @@ def retrieve(tp: tuple, db: Database, surface: str, trace: QueryTrace) -> list:
             fs = build_derived(level, cat, fs, db, trace)
             if fs is None:
                 break
-        if fs is None:
-            continue
-        fs["phon"] = surface
-        results.append(fs)
+        else:
+            fs["phon"] = surface
+            results.append(fs)
     return results
 
 
@@ -373,10 +372,8 @@ class LexiconEngine:
             if tp is not None:
                 trace.transformed.append(tp)
 
-        if use_early_filter:
-            trace.satisfying = early_filter(trace.transformed, query_fs, phon, trace, self.db)
-        else:
-            trace.satisfying = list(trace.transformed)
+        trace.satisfying = (early_filter(trace.transformed, query_fs, phon, trace, self.db)
+                            if use_early_filter else list(trace.transformed))
 
         for tp in trace.satisfying:
             trace.retrieved.extend(retrieve(tp, self.db, phon, trace))

@@ -356,9 +356,8 @@ class _Parser:
             return self.parse_braces()
         value = self.sets.get(m.group())
         if value is None:
-            value = self.sets[m.group()] = self.parse_braces()
-        else:
-            self.pos = m.end()
+            return self.sets.setdefault(m.group(), self.parse_braces())
+        self.pos = m.end()
         return value
 
     def parse_tag(self):
@@ -674,13 +673,11 @@ def _meet(a, y, memo, copied):
     if type(a) is Seq:
         if not isinstance(y, Seq) or len(a) != len(y):
             return None
-        merged = []
-        for av, yv in zip(a, y):
-            m = _meet(av, yv, memo, copied)
-            if m is None:
+        for i, (av, yv) in enumerate(zip(a, y)):
+            merged = _meet(av, yv, memo, copied)
+            if merged is None:
                 return None
-            merged.append(m)
-        a[:] = merged
+            a[i] = merged
         return a
     if type(y) is FSSet and type(a) is FSSet and not copied:
         # compared as the result would hold it: its members' copies, if any
@@ -734,9 +731,7 @@ def subsumes(general, specific) -> bool:
         if not isinstance(specific, FeatStruct):
             return False
         for name, inner in general.items():
-            if name not in specific:
-                return False
-            if not subsumes(inner, specific[name]):
+            if name not in specific or not subsumes(inner, specific[name]):
                 return False
         return True
     if isinstance(general, Seq):

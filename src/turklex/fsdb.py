@@ -300,16 +300,10 @@ def delete_entry(db: Database, cat: Cat5, root: str, sense_index: int) -> Lexico
 def browse(db: Database, cat: Optional[Cat5] = None, root: Optional[str] = None) -> List[LexiconEntry]:
     """Entries whose category matches ``cat`` (none slots are wildcards)
     and whose root contains ``root`` as a substring."""
-    found = []
-    for clause in db.clauses:
-        if not isinstance(clause, LexiconEntry):
-            continue
-        if cat is not None and not clause.cat.matches(cat):
-            continue
-        if root is not None and root not in clause.root:
-            continue
-        found.append(clause)
-    return found
+    return [clause for clause in db.clauses
+            if isinstance(clause, LexiconEntry)
+            and (cat is None or clause.cat.matches(cat))
+            and (root is None or root in clause.root)]
 
 
 # --------------------------------------------------------------------------
