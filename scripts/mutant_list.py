@@ -179,6 +179,34 @@ MUTANTS = [
      "inflections.append(shared.setdefault(pair, pair))",
      "inflections.append(pair)",
      "parse_parse_string: equal (key, value) pairs stay separate objects"),
+    # catmap and featstruct: one cat block per category, no tag on a leaf
+    ("src/turklex/catmap.py",
+     "    @functools.lru_cache(maxsize=None)\n    def as_fs(self)",
+     "    def as_fs(self)",
+     "Cat5.as_fs: every call makes a new block, so loads and partial structures "
+     "hold one per clause or parse"),
+    ("src/turklex/featstruct.py",
+     "            if type(value) not in _KIND:  # no value, or a set of atoms: a leaf\n"
+     "                raise FSSyntaxError(\"tag must name a structure, sequence or set\", m.end())\n"
+     "            self.tags[num] = value\n"
+     "        elif num in self.tags:\n"
+     "            value = self.tags[num]\n"
+     "        else:\n"
+     "            self.error(f\"unresolved tag @{num}\")\n"
+     "        value.__class__ = _KIND[type(value)]\n"
+     "        self.tagged += 1\n",
+     "            if value is None:\n"
+     "                raise FSSyntaxError(\"tag must name a structure, sequence or set\", m.end())\n"
+     "            self.tags[num] = value\n"
+     "        elif num in self.tags:\n"
+     "            value = self.tags[num]\n"
+     "        else:\n"
+     "            self.error(f\"unresolved tag @{num}\")\n"
+     "        if type(value) in _KIND:\n"
+     "            value.__class__ = _KIND[type(value)]\n"
+     "            self.tagged += 1\n",
+     "parse_tag: a tag on an atom set is accepted, and dropped without a word, "
+     "since a leaf holds no tag"),
     # engine: the early restriction
     ("src/turklex/engine.py",
      "        if not isinstance(wanted, FeatStruct):\n            return False\n",

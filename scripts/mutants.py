@@ -11,8 +11,11 @@ unchanged first: it must pass, or no mutant's result would mean anything.
 Then each mutant in turn is written into the copy, tier-1 runs with ``-x``
 (so a killed mutant stops at its first failure), and the file is put back.
 A mutant of ``src/turklex/X.py`` meets ``tests/test_X.py`` first, where it
-most likely dies, and the rest of tier-1 only if that file passes.  A
-mutant is killed when tier-1 fails or a run of it passes ``TIMEOUT_S``.
+most likely dies: that file's pinned cases (``-m "not hypothesis"``), then
+its hypothesis properties (``-m hypothesis``, the marker hypothesis's own
+pytest plugin puts on each of them), and the rest of tier-1 only if both
+pass.  A mutant is killed when tier-1 fails or a run of it passes
+``TIMEOUT_S``.
 
 Prints one row per mutant and exits 0 when all are killed, 1 when any
 survives, and 2 when the unchanged copy fails or a mutant's old text is not
@@ -49,7 +52,8 @@ def load_mutants(path=HERE / "mutant_list.py"):
 
 def tier1(copy: Path, *args):
     """Run tier-1 in ``copy``, narrowed by the pytest ``args``: (passed,
-    seconds, what failed first)."""
+    seconds, what failed first).  A run narrowed by a marker passes too
+    when it selects no test (pytest's exit code 5)."""
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",  # no stale bytecode
                PYTHONPATH="src" + (os.pathsep + pythonpath if pythonpath else ""))
@@ -62,20 +66,24 @@ def tier1(copy: Path, *args):
     seconds = time.perf_counter() - start
     lines = proc.stdout.splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
-    return proc.returncode == 0, seconds, (failed or lines or [""])[-1]
+    passed = proc.returncode == 0 or proc.returncode == 5 and "-m" in args
+    return passed, seconds, (failed or lines or [""])[-1]
 
 
 def own_tests_first(copy: Path, file: str):
-    """Tier-1 against a mutant of ``file``: its module's test file first,
-    if there is one, then the rest; the two times summed."""
+    """Tier-1 against a mutant of ``file``: its module's test file first, if
+    there is one, pinned cases before properties, then the rest; the times
+    summed."""
     own = f"tests/test_{Path(file).stem}.py"
     if not (copy / own).is_file():
         return tier1(copy)
-    passed, seconds, last = tier1(copy, own)
-    if not passed:
-        return passed, seconds, last
-    passed, rest, last = tier1(copy, f"--ignore={own}")
-    return passed, seconds + rest, last
+    total = 0.0
+    for args in ((own, "-m", "not hypothesis"), (own, "-m", "hypothesis"), (f"--ignore={own}",)):
+        passed, seconds, last = tier1(copy, *args)
+        total += seconds
+        if not passed:
+            break
+    return passed, total, last
 
 
 def main() -> int:

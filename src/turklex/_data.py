@@ -19,17 +19,18 @@ def bundled_path(name: str) -> Path:
     return Path(str(resources.files("turklex").joinpath("data", name)))
 
 
-def read_rows(path, n_fields=None, handle=lambda *fields: list(fields)):
-    """Yield ``(lineno, handle(*fields))`` for each row of a data file.
+def read_rows(path, n_fields, handle) -> list:
+    """What ``handle(*fields)`` returns for each row of a data file, in order.
 
     Lines blank or starting with ``#`` once stripped are skipped but
     counted.  Given ``n_fields``, a row is its line split on tabs, each
     field stripped, and another number of fields or an empty one raises
-    ``ValueError``; without it, the stripped line is the row's one field.
+    ``ValueError``; with None, the stripped line is the row's one field.
     A ``ValueError`` from a row is raised again as the same type, with
     ``path:lineno:`` before its message, and a file that is not UTF-8
     raises a plain ``ValueError`` naming the line of its first bad byte.
     """
+    rows = []
     try:
         with open(path, encoding="utf-8") as lines:
             for lineno, raw in enumerate(lines, start=1):
@@ -50,7 +51,7 @@ def read_rows(path, n_fields=None, handle=lambda *fields: list(fields)):
                         row = handle(*fields)
                 except ValueError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-                yield lineno, row
+                rows.append(row)
     except UnicodeDecodeError:
         # the text layer decodes in chunks, so the error's position counts
         # from its chunk: find the line in the file's bytes (no UTF-8
@@ -63,3 +64,4 @@ def read_rows(path, n_fields=None, handle=lambda *fields: list(fields)):
                     message = f"not UTF-8: byte {line[exc.start]:#04x}, {exc.reason}"
                     raise ValueError(f"{path}:{lineno}: {message}") from exc
         raise
+    return rows

@@ -9,7 +9,8 @@ by the engine: ``rows.get(key)`` gives ``None`` for it.
 
 A bad row of a table or of the inventory fails with ``path:line``.
 ``Cat5.from_text`` is cached, so each distinct category text is one
-:class:`Cat5` per process, whichever file holds it.
+:class:`Cat5` per process, whichever file holds it, and so is
+``Cat5.as_fs``, so each category has one frozen ``cat`` block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from typing import Dict, NamedTuple
 
 from ._data import read_rows
-from .featstruct import FeatStruct
+from .featstruct import FrozenFeatStruct
 
 
 class Cat5(NamedTuple):
@@ -44,8 +45,10 @@ class Cat5(NamedTuple):
     def render(self) -> str:
         return ",".join(self)
 
-    def as_fs(self) -> FeatStruct:
-        return FeatStruct(zip(self._fields, self))
+    @functools.lru_cache(maxsize=None)
+    def as_fs(self) -> FrozenFeatStruct:
+        """The category's ``cat`` block: frozen, one object per category."""
+        return FrozenFeatStruct(zip(self._fields, self))
 
     def matches(self, pattern: "Cat5") -> bool:
         """Slot-wise match where ``none`` in the pattern matches anything."""
@@ -54,7 +57,7 @@ class Cat5(NamedTuple):
 
 def load_inventory(path) -> frozenset:
     """Load the category inventory: one ``maj,min,sub,ssub,sssub`` per line."""
-    return frozenset(cat for _, cat in read_rows(path, 1, Cat5.from_text))
+    return frozenset(read_rows(path, 1, Cat5.from_text))
 
 
 class CategoryMap:
@@ -87,8 +90,7 @@ class CategoryMap:
                 raise ValueError(f"category {cat.render()} is not in the inventory")
             rows[key] = cat
 
-        for _ in read_rows(path, cls.key_fields + 1, add):
-            pass
+        read_rows(path, cls.key_fields + 1, add)
         return cls(rows)
 
 

@@ -135,7 +135,7 @@ def transform(parse, rootmap: RootMapTable, derivmap: DerivMapTable,
 
 def partial_outer_fs(tp: tuple, surface: str) -> FeatStruct:
     """Cheap approximation of a parse's outermost level, built without any
-    database access: category, the level's own morph features, and phon."""
+    database access: ``Cat5.as_fs()``, the level's own morph features, phon."""
     level, cat = tp[-1]
     morph = FeatStruct([("derv_suffix" if len(tp) > 1 else "stem", level.name)])
     morph.update(level.inflections)

@@ -33,9 +33,10 @@ it never reads as co-indexed however often it is reached.  The parser
 freezes every node below the root that no tag reaches.
 
 ``None`` is never a value, so it means "no value" throughout: :func:`unify`
-returns ``None`` on a clash (never an exception), and ``FeatStruct.get`` and
-:func:`get_path` return ``None`` where no value is.  The parser interns
-names and atoms to save memory only: code compares them with ``==``.
+returns ``None`` on a clash (though it may raise: see its limits there),
+and ``FeatStruct.get`` and :func:`get_path` return ``None`` where no value
+is.  The parser interns names and atoms to save memory only: code compares
+them with ``==``.
 """
 
 from __future__ import annotations
@@ -371,18 +372,18 @@ class _Parser:
         self.pos = m.end()
         if m.group(2) is not None:
             parse = self.TAGGED.get(self.text[self.pos : self.pos + 1])
-            if parse is None:
-                self.error("tag must name a structure, sequence or set")
-            if num in self.tags:
+            if parse is not None and num in self.tags:
                 self.error(f"tag @{num} defined twice")
-            value = self.tags[num] = parse(self)
+            value = None if parse is None else parse(self)
+            if type(value) not in _KIND:  # no value, or a set of atoms: a leaf
+                raise FSSyntaxError("tag must name a structure, sequence or set", m.end())
+            self.tags[num] = value
         elif num in self.tags:
             value = self.tags[num]
         else:
             self.error(f"unresolved tag @{num}")
-        if type(value) in _KIND:  # not a set of atoms, which is a leaf
-            value.__class__ = _KIND[type(value)]
-            self.tagged += 1
+        value.__class__ = _KIND[type(value)]
+        self.tagged += 1
         return value
 
     def parse_list(self, close):
@@ -596,24 +597,19 @@ def render_fs(fs, style: str = "compact") -> str:
 # -------------------------------------------------------------- unification
 
 
-def copy_fs(value, memo=None):
+def copy_fs(value):
     """Copy every node of ``value``, frozen or not, into a mutable one,
     sharing its leaves.
 
-    ``memo`` maps the id of an original mutable node to its copy, so a
-    mutable node reached twice is copied once: sharing inside ``value`` is
-    kept, and passing one memo to several calls keeps sharing across their
-    values (the originals must stay alive between those calls).  A frozen
-    node is a value: each place holding it gets a copy of its own.
+    A mutable node reached twice is copied once, so sharing inside
+    ``value`` is kept.  A frozen node is a value: each place holding it
+    gets a copy of its own.
     """
-    if type(value) not in _KIND:
-        return value
-    if memo is None:
-        memo = {}
-    return _copy_node(value, memo)
+    return _copy_node(value, {}) if type(value) in _KIND else value
 
 
 def _copy_node(node, memo):
+    """A mutable copy of ``node``; ``memo`` maps each mutable node copied, by id, to its copy."""
     done = memo.get(id(node))  # never a frozen node's: none is kept
     if done is not None:
         return done
@@ -633,13 +629,17 @@ def unify(x, y):
     """Unify two values (structures, atoms, sets, negations, ...); returns a
     new value or None.
 
-    ``x`` is copied whole with :func:`copy_fs`; of ``y`` only the nodes the
-    result takes over are copied, under the same memo, so the result shares
-    no node with either operand.  Operands are never mutated.  Sharing
-    topology inside (and across) the operands is preserved in the result.
+    ``x`` is copied whole, as :func:`copy_fs` copies; of ``y`` only the
+    nodes the result takes over are copied, under the same memo, so the
+    result shares no node with either operand.  Operands are never
+    mutated.  Sharing inside ``x`` is kept, but the merge walks ``y`` as a
+    tree: ``unify([x:[p:a], y:[r:c]], [x:@1=[q:b], y:@1])`` drops ``y``'s
+    ``@1``, ``unify([x:[p:a], y:[p:c]], [x:@1=[q:b], y:@1])`` succeeds, and
+    an operand holding a node of the other can make it raise
+    ``RuntimeError`` or ``RecursionError`` (ROADMAP item 3 fixes all three).
     """
     memo = {}
-    return _meet(copy_fs(x, memo), y, memo, False)
+    return _meet(_copy_node(x, memo) if type(x) in _KIND else x, y, memo, False)
 
 
 def _meet(a, y, memo, copied):
@@ -748,19 +748,15 @@ def subsumes(general, specific) -> bool:
 
 # ------------------------------------------------------------ paths, access
 
-def parse_path(path):
-    """Accept ``"a|b|c"`` or an iterable of names; return a tuple of names."""
-    if isinstance(path, str):
-        parts = tuple(p.strip() for p in path.split("|"))
-        if not parts or any(not p for p in parts):
-            raise ValueError(f"bad path {path!r}")
-        return parts
-    return tuple(path)
-
-
 def get_path(fs: FeatStruct, path):
-    """Value at a feature path, or None."""
-    for name in parse_path(path):
+    """Value at a feature path, ``"a|b|c"`` or an iterable of names, or
+    None.  A text path with an empty name raises ``ValueError``."""
+    if isinstance(path, str):
+        names = [name.strip() for name in path.split("|")]
+        if not all(names):
+            raise ValueError(f"bad path {path!r}")
+        path = names
+    for name in path:
         if not isinstance(fs, FeatStruct):
             return None
         fs = fs.get(name)
@@ -771,7 +767,8 @@ def project(fs: FeatStruct, top_features) -> FeatStruct:
     """Copy retaining only the listed top-level features."""
     memo = {}  # one memo keeps sharing among the kept features
     return FeatStruct(
-        [(k, copy_fs(v, memo)) for k, v in fs.items() if k in top_features]
+        [(k, _copy_node(v, memo) if type(v) in _KIND else v)
+         for k, v in fs.items() if k in top_features]
     )
 
 

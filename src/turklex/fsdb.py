@@ -24,13 +24,13 @@ So ``dumps`` renders each clause's canonical line once, the first time it
 saves that clause, and keeps it on the clause (``line``); ``load``
 renders nothing.
 
-The same rule lets one ``load`` share values between and within its
+The same rule lets a ``load`` share values between and within its
 clauses: each distinct text of a set with no tag, quoted atom or concept
 inside it is parsed once (see :func:`~turklex.featstruct.parse_fs_text`);
 a frozen ``cat`` block that holds just the five slots in ``Cat5`` order,
-which validation has checked against the key, becomes the load's one
-block for its category; and every entry without a ``syn`` gets one
-frozen ``[subcat:none]``.
+which validation has checked against the key, becomes its category's one
+block, ``Cat5.as_fs()``, which every load shares; and every entry
+without a ``syn`` gets one frozen ``[subcat:none]``.
 
 A save is atomic: :func:`save` writes a temporary file beside the target
 and renames it over the target.  A clause whose canonical line would hold
@@ -326,7 +326,6 @@ def load(path) -> Database:
     """
     db = Database()
     sets: dict = {}  # one value per distinct plain set text
-    cats: dict = {}  # one frozen cat block per category, keyed by the clause's Cat5
 
     def add_clause(line: str) -> None:
         if line.startswith("entry"):
@@ -359,9 +358,9 @@ def load(path) -> Database:
         except ValueError as exc:  # a bad category text or a broken invariant
             raise DatabaseFormatError(str(exc)) from exc
         # validated, so a frozen block of the five slots in order holds just
-        # the key's atoms, and renders as every other such block does
+        # the key's atoms, and renders as its category's one block does
         if type(fs["cat"]) is FrozenFeatStruct and tuple(fs["cat"]) == Cat5._fields:
-            fs["cat"] = cats.setdefault(cat, fs["cat"])
+            fs["cat"] = cat.as_fs()
         if root is not None:
             return
         if cat in db.templates:
@@ -372,8 +371,7 @@ def load(path) -> Database:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in read_rows(path, None, add_clause):
-            pass
+        read_rows(path, None, add_clause)
     finally:
         if gc_was_enabled:
             gc.enable()

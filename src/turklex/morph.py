@@ -245,8 +245,7 @@ class AnalyzerTable:
                 raise ValueError(f"duplicate parse of {surface!r}")
             parses.append(parse)
 
-        for _ in read_rows(path, 2, add):
-            pass
+        read_rows(path, 2, add)
         return cls(table)
 
     def lookup(self, surface: str) -> list:

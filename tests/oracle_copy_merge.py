@@ -1,9 +1,10 @@
 """Reference unification by copy-both-then-merge.
 
-The operands are both copied whole under one memo and the copy of ``y`` is
-merged destructively into the copy of ``x``.  It is slow but plain, and it
-gives the answers, sharing included, that :func:`turklex.featstruct.unify`
-must give while copying only the nodes it places.
+The operands are both copied whole, as one new root holding both, so under
+one memo, and the copy of ``y`` is merged destructively into the copy of
+``x``.  It is slow but plain, and it gives the answers, sharing included,
+that :func:`turklex.featstruct.unify` must give while copying only the
+nodes it places.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from turklex.featstruct import FeatStruct, Seq, _meet_atoms, copy_fs
 
 
 def copy_merge_unify(x, y):
-    memo = {}
-    return _merge(copy_fs(x, memo), copy_fs(y, memo))
+    both = copy_fs(FeatStruct([("x", x), ("y", y)]))
+    return _merge(both["x"], both["y"])
 
 
 def _merge(x, y):

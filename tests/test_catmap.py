@@ -4,7 +4,7 @@ import pytest
 
 from turklex._data import bundled_path
 from turklex.catmap import Cat5, DerivMapTable, RootMapTable, load_inventory
-from turklex.featstruct import FeatStruct
+from turklex.featstruct import FrozenFeatStruct
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,14 @@ class TestCat5:
 
     def test_as_fs(self):
         fs = Cat5.from_text("verb,attributive").as_fs()
-        assert isinstance(fs, FeatStruct)
+        assert type(fs) is FrozenFeatStruct
         assert list(fs.keys()) == ["maj", "min", "sub", "ssub", "sssub"]
         assert fs["maj"] == "verb"
         assert fs["sssub"] == "none"
+        # one block per category, however the category was made
+        assert Cat5("verb", "attributive").as_fs() is fs
+        assert Cat5.from_text("verb,attributive,none").as_fs() is fs
+        assert Cat5.from_text("verb").as_fs() is not fs
 
     def test_matches_none_wildcard(self):
         concrete = Cat5.from_text("nominal,noun,common,none,none")

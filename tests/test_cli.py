@@ -102,6 +102,12 @@ class TestQuery:
         assert result.exit_code == 2
         assert "bad query" in result.output
 
+    def test_a_tag_on_an_atom_set_exits_2(self, runner):
+        result = runner.invoke(main, ["query", "[phon:kazma, sem:[x:@1={a, b}, y:@1]]"])
+        assert result.exit_code == 2
+        assert result.output == ("error: bad query: tag must name a structure, sequence"
+                                 " or set (at position 23)\n")
+
     def test_missing_phon_exits_2(self, runner):
         result = runner.invoke(main, ["query", "[cat:[maj:verb]]"])
         assert result.exit_code == 2

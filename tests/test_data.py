@@ -42,25 +42,32 @@ def located(path, lineno):
     return re.escape(f"{path}:{lineno}:")
 
 
+def fields(*row):
+    return list(row)
+
+
 class TestReadRows:
     def test_rows_numbered_by_file_line(self, tmp_path):
-        path = write(tmp_path, "t.tsv", "# comment\n\n  \na\tb\n  # indented comment\nc\td\n")
-        assert list(read_rows(path, 2)) == [(4, ["a", "b"]), (6, ["c", "d"])]
+        text = "# comment\n\n  \na\tb\n  # indented comment\nc\td\ne\n"
+        path = write(tmp_path, "t.tsv", text)
+        with pytest.raises(ValueError, match=located(path, 7) + " expected 2 tab-separated"):
+            read_rows(path, 2, fields)
+        path = write(tmp_path, "t.tsv", text[:-2])
+        assert read_rows(path, 2, fields) == [["a", "b"], ["c", "d"]]
 
     def test_fields_are_stripped(self, tmp_path):
         path = write(tmp_path, "t.tsv", " a \t b c \n")
-        assert list(read_rows(path, 2)) == [(1, ["a", "b c"])]
+        assert read_rows(path, 2, fields) == [["a", "b c"]]
 
     def test_wrong_field_count_names_file_and_line(self, tmp_path):
         path = write(tmp_path, "t.tsv", "a\tb\na\tb\tc\n")
         message = located(path, 2) + " expected 2 tab-separated fields, got 3"
         with pytest.raises(ValueError, match=message):
-            list(read_rows(path, 2))
-
+            read_rows(path, 2, fields)
 
     def test_whole_lines_are_never_split(self, tmp_path):
         path = write(tmp_path, "t.fdb", "# comment\n a\tb \n\n")
-        assert list(read_rows(path)) == [(2, ["a\tb"])]
+        assert read_rows(path, None, fields) == [["a\tb"]]
 
     def test_handler_error_keeps_its_type_and_gains_file_line(self, tmp_path):
         path = write(tmp_path, "t.tsv", "a\n")
@@ -69,7 +76,7 @@ class TestReadRows:
             raise ParseFormatError(f"no {field}")
 
         with pytest.raises(ParseFormatError, match=f"^{located(path, 1)} no a$"):
-            list(read_rows(path, 1, reject))
+            read_rows(path, 1, reject)
 
 
 class TestEveryFile:

@@ -157,6 +157,7 @@ class TestEarlyFilter:
             q("[cat:[maj:nominal, min:noun, sub:common, ssub:none, sssub:none], "
               "morph:[stem:at, agr:3sg, case:nom], phon:atIm]"),
         )
+        assert partial["cat"] is COMMON.as_fs()
 
     def test_partial_shape_derived(self):
         tp = (
@@ -168,6 +169,7 @@ class TestEarlyFilter:
         assert get_path(partial, "morph|derv_suffix") == "none"
         assert get_path(partial, "morph|stem") is None
         assert get_path(partial, "morph|tam2") == "pres"
+        assert partial["cat"] is ATTR.as_fs()
 
     def test_no_restriction_keeps_everything(self, engine):
         tps = [(mapped(COMMON, "at"),)]
@@ -797,6 +799,17 @@ def test_every_answer_renders_as_from_unshared_loads(lexicon, tmp_path):
         for style in ("compact", "indented"):
             assert ([render_fs(fs, style) for fs in ours]
                     == [render_fs(fs, style) for fs in theirs]), surface
+
+
+@pytest.mark.parametrize("lexicon", sorted(ENGINES))
+def test_a_partial_structure_holds_its_categorys_block(lexicon, tmp_path):
+    engine = ENGINES[lexicon](tmp_path)
+    for surface in sorted(set(engine.analyzer.surfaces())):
+        trace = engine.run(q(f"[phon:{surface}, cat:[maj:verb]]"))
+        blocks = {id(tp[-1][1].as_fs()) for tp in trace.transformed}
+        assert {id(partial["cat"]) for partial in trace.eliminated} <= blocks, surface
+        for tp in trace.transformed:
+            assert partial_outer_fs(tp, surface)["cat"] is tp[-1][1].as_fs(), surface
 
 
 @pytest.mark.parametrize("lexicon", sorted(ENGINES))

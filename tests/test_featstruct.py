@@ -24,7 +24,6 @@ from turklex.featstruct import (
     get_path,
     node_counts,
     parse_fs_text,
-    parse_path,
     project,
     render_fs,
     subsumes,
@@ -297,6 +296,9 @@ SYNTAX_ERRORS = [
         ("[a:@1=[], b:@1=[]]", "tag @1 defined twice", 15),
         ("[a:@1=b]", "tag must name a structure, sequence or set", 6),
         ("[a:@1=", "tag must name a structure, sequence or set", 6),
+        # a set of atoms is a leaf, so a tag on it would be dropped
+        ("[a:@1={b, c}, d:@1]", "tag must name a structure, sequence or set", 6),
+        ("[a:@1= {b}]", "tag must name a structure, sequence or set", 7),
         ("[a:'b]", "unterminated quoted atom", 3),
         ("[a:b-(c]", "unterminated concept gloss", 6),
         ("[a:b-( )]", "empty concept gloss", 6),
@@ -442,8 +444,6 @@ def test_the_parser_freezes_every_node_no_tag_reaches():
                      "p": FrozenFSSet, "s": FrozenSeq}
     assert type(fs["d"]["e"]) is FrozenFeatStruct and type(fs["h"][1]) is FrozenFeatStruct
     assert type(fs["k"]["l"]) is FeatStruct and type(fs["k"]["l"]["m"]) is Seq
-    # a tagged atom set is a leaf, and leaves the structure holding it frozen
-    assert type(parse_fs_text("[a:[b:@1={c, d}, e:@1]]")["a"]) is FrozenFeatStruct
     assert render_fs(fs) == text
 
 
@@ -801,15 +801,12 @@ def test_copy_fs_shares_no_node_and_keeps_sharing(fs):
 
 @settings(max_examples=100)
 @given(feat_structs, feat_structs)
-def test_copy_fs_one_memo_keeps_sharing_across_values(shared, rest):
-    a = FeatStruct([("x", shared), ("y", rest)])
-    b = FeatStruct([("z", shared)])
-    memo = {}
-    a2, b2 = copy_fs(a, memo), copy_fs(b, memo)
-    assert a2["x"] is b2["z"]
-    assert a2["x"] is not shared
-    assert not node_ids(a) & node_ids(a2)
-    assert copy_fs(a)["x"] is not copy_fs(b)["z"]  # separate memos share nothing
+def test_project_copies_and_keeps_sharing_across_kept_features(shared, rest):
+    fs = FeatStruct([("cat", shared), ("morph", FeatStruct([("z", shared)])), ("sem", rest)])
+    out = project(fs, ("cat", "morph"))
+    assert list(out) == ["cat", "morph"] and out["cat"] is out["morph"]["z"]
+    assert out["cat"] is not shared and fs_equal(out["cat"], shared)
+    assert not node_ids(fs) & node_ids(out)
 
 
 def test_copy_fs_shares_immutable_leaves():
@@ -905,10 +902,12 @@ def test_get_path():
     assert get_path(parse_fs_text("[a:b]"), "a|c") is None  # a path through an atom
 
 
-def test_parse_path_rejects_an_empty_name():
-    with pytest.raises(ValueError) as info:
-        parse_path("a||b")
-    assert str(info.value) == "bad path 'a||b'"
+def test_get_path_rejects_an_empty_name():
+    # before any step: an atom, which holds no path, still raises
+    for fs in (parse_fs_text("[a:[b:c]]"), "atom"):
+        with pytest.raises(ValueError) as info:
+            get_path(fs, "a||b")
+        assert str(info.value) == "bad path 'a||b'"
 
 
 def test_project():

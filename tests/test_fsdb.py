@@ -577,6 +577,16 @@ class TestFrozenNodes:
         db, path = loaded
         assert dumps(db) == dumps(load_unshared(path))
 
+    def test_a_frozen_cat_block_in_slot_order_is_its_categorys_block(self, loaded):
+        db, path = loaded
+        held = 0
+        for clause, again in zip(db.clauses, load(path).clauses, strict=True):
+            block = clause.fs["cat"]
+            if type(block) is FrozenFeatStruct and tuple(block) == Cat5._fields:
+                assert block is clause.cat.as_fs() is again.fs["cat"], clause_line(clause)
+                held += 1
+        assert held > len(db.clauses) / 2
+
     def test_a_frozen_node_equals_a_mutable_one_of_equal_content(self, loaded):
         db, _ = loaded
         for clause in db.clauses:
