@@ -207,6 +207,12 @@ MUTANTS = [
      "            self.tagged += 1\n",
      "parse_tag: a tag on an atom set is accepted, and dropped without a word, "
      "since a leaf holds no tag"),
+    # featstruct: project keeps the listed features only
+    ("src/turklex/featstruct.py",
+     "for k, v in fs.items() if k in top_features])",
+     "for k, v in fs.items() if k != \"phon\"])",
+     "project: a feature that is not listed is kept, so the early restriction "
+     "checks the query's syn and sem against a partial structure that has neither"),
     # engine: the early restriction
     ("src/turklex/engine.py",
      "        if not isinstance(wanted, FeatStruct):\n            return False\n",

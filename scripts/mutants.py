@@ -10,12 +10,15 @@ The checkout is copied to a temporary directory once, and tier-1 runs there
 unchanged first: it must pass, or no mutant's result would mean anything.
 Then each mutant in turn is written into the copy, tier-1 runs with ``-x``
 (so a killed mutant stops at its first failure), and the file is put back.
-A mutant of ``src/turklex/X.py`` meets ``tests/test_X.py`` first, where it
-most likely dies: that file's pinned cases (``-m "not hypothesis"``), then
-its hypothesis properties (``-m hypothesis``, the marker hypothesis's own
-pytest plugin puts on each of them), and the rest of tier-1 only if both
-pass.  A mutant is killed when tier-1 fails or a run of it passes
-``TIMEOUT_S``.
+Tier-1 runs against a mutant in two stages: every pinned case (``-m "not
+hypothesis"``), then, only if all pass, every hypothesis property (``-m
+hypothesis``, the marker hypothesis's own pytest plugin puts on each of
+them).  Each stage is one pytest run over an explicit list of the test
+files, ``tests/test_X.py`` first for a mutant of ``src/turklex/X.py``,
+since that is where it most likely dies.  The list is explicit because
+pytest collects ``tests/test_X.py tests`` in alphabetical order, the named
+file only once.  A mutant is killed when tier-1 fails or a run of it
+passes ``TIMEOUT_S``.
 
 Prints one row per mutant and exits 0 when all are killed, 1 when any
 survives, and 2 when the unchanged copy fails or a mutant's old text is not
@@ -71,15 +74,15 @@ def tier1(copy: Path, *args):
 
 
 def own_tests_first(copy: Path, file: str):
-    """Tier-1 against a mutant of ``file``: its module's test file first, if
-    there is one, pinned cases before properties, then the rest; the times
-    summed."""
+    """Tier-1 against a mutant of ``file``, pinned cases before properties,
+    each over every test file with the module's own first, if there is one;
+    the times summed."""
     own = f"tests/test_{Path(file).stem}.py"
-    if not (copy / own).is_file():
-        return tier1(copy)
+    files = sorted(p.relative_to(copy).as_posix() for p in copy.glob("tests/test_*.py"))
+    files.sort(key=lambda name: name != own)  # stable: the rest stay in order
     total = 0.0
-    for args in ((own, "-m", "not hypothesis"), (own, "-m", "hypothesis"), (f"--ignore={own}",)):
-        passed, seconds, last = tier1(copy, *args)
+    for marker in ("not hypothesis", "hypothesis"):
+        passed, seconds, last = tier1(copy, "-m", marker, *files)
         total += seconds
         if not passed:
             break

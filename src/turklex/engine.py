@@ -152,6 +152,9 @@ def early_filter(tps, query_fs: FeatStruct, surface: str, trace: QueryTrace,
     building a partial structure.  Each path ``block|name`` of the two
     blocks is checked (:func:`_may_satisfy`) so that a parse is eliminated
     only where the final filter would drop each of its results.
+
+    The two blocks are read in place: :func:`project` shares the query's
+    own values, and nothing in phase 3 writes them.
     """
     restriction = project(query_fs, ("cat", "morph"))
     if not restriction:

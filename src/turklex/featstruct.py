@@ -30,7 +30,8 @@ database share nodes between and within its clauses: the renderer never
 tags one, :func:`fs_equal` compares it by its contents, and
 :func:`copy_fs` gives each place holding it a mutable copy of its own, so
 it never reads as co-indexed however often it is reached.  The parser
-freezes every node below the root that no tag reaches.
+freezes every node below the root that no tag reaches.  :func:`project`
+and :func:`get_path` copy nothing: they return the operand's own values.
 
 ``None`` is never a value, so it means "no value" throughout: :func:`unify`
 returns ``None`` on a clash (though it may raise: see its limits there),
@@ -193,10 +194,8 @@ def thaw(value):
 class FSSyntaxError(ValueError):
     """Raised on malformed feature-structure text; carries the position."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
@@ -748,15 +747,13 @@ def subsumes(general, specific) -> bool:
 
 # ------------------------------------------------------------ paths, access
 
-def get_path(fs: FeatStruct, path):
-    """Value at a feature path, ``"a|b|c"`` or an iterable of names, or
-    None.  A text path with an empty name raises ``ValueError``."""
-    if isinstance(path, str):
-        names = [name.strip() for name in path.split("|")]
-        if not all(names):
-            raise ValueError(f"bad path {path!r}")
-        path = names
-    for name in path:
+def get_path(fs: FeatStruct, path: str):
+    """Value at a feature path ``"a|b|c"``, or None.  A path with an empty
+    name raises ``ValueError``."""
+    names = [name.strip() for name in path.split("|")]
+    if not all(names):
+        raise ValueError(f"bad path {path!r}")
+    for name in names:
         if not isinstance(fs, FeatStruct):
             return None
         fs = fs.get(name)
@@ -764,12 +761,10 @@ def get_path(fs: FeatStruct, path):
 
 
 def project(fs: FeatStruct, top_features) -> FeatStruct:
-    """Copy retaining only the listed top-level features."""
-    memo = {}  # one memo keeps sharing among the kept features
-    return FeatStruct(
-        [(k, _copy_node(v, memo) if type(v) in _KIND else v)
-         for k, v in fs.items() if k in top_features]
-    )
+    """A new root holding ``fs``'s own values of the listed top-level
+    features, in ``fs``'s order: shared, not copied, so a change to one
+    shows in both; :func:`copy_fs` gives a private copy."""
+    return FeatStruct([(k, v) for k, v in fs.items() if k in top_features])
 
 
 # ---------------------------------------------------------------- equality

@@ -225,6 +225,26 @@ class TestEarlyFilter:
             plain = engine.query(q(f"[phon:{surface}]"))
             assert list(map(render_fs, trace.results)) == list(map(render_fs, plain)), surface
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "[phon:atIm]",
+            "[phon:memnunum, cat:[maj:verb]]",
+            "[phon:ekim, morph:[poss:'1sg']]",
+            "[phon:ekimde, morph:[poss:none], sem:[temporal:+]]",
+            "[phon:kazma]",
+            "[phon:akIllIca]",
+            "[phon:kazma, cat:[maj:verb], morph:[form:derived]]",
+        ],
+    )
+    def test_run_leaves_the_query_unchanged(self, engine, query):
+        # phase 3 reads the query's own cat and morph blocks, not copies
+        query_fs = q(query)
+        text, blocks = render_fs(query_fs), [query_fs.get("cat"), query_fs.get("morph")]
+        engine.run(query_fs)
+        assert render_fs(query_fs) == text
+        assert query_fs.get("cat") is blocks[0] and query_fs.get("morph") is blocks[1]
+
     def test_elimination_recorded(self, engine):
         trace = QueryTrace(surface="atIm")
         tps = [(mapped(COMMON, "at", [("poss", "none")]),)]

@@ -33,7 +33,7 @@ from turklex.featstruct import (
 
 from . import oracle_unify
 from .oracle_copy_merge import copy_merge_unify
-from .strategies import entangled_pairs, feat_structs, shared_structs
+from .strategies import NAMES, entangled_pairs, feat_structs, shared_structs
 
 NODE_TYPES = (FeatStruct, Seq, FSSet)
 
@@ -800,13 +800,14 @@ def test_copy_fs_shares_no_node_and_keeps_sharing(fs):
 
 
 @settings(max_examples=100)
-@given(feat_structs, feat_structs)
-def test_project_copies_and_keeps_sharing_across_kept_features(shared, rest):
-    fs = FeatStruct([("cat", shared), ("morph", FeatStruct([("z", shared)])), ("sem", rest)])
-    out = project(fs, ("cat", "morph"))
-    assert list(out) == ["cat", "morph"] and out["cat"] is out["morph"]["z"]
-    assert out["cat"] is not shared and fs_equal(out["cat"], shared)
-    assert not node_ids(fs) & node_ids(out)
+@given(feat_structs, st.lists(st.sampled_from(NAMES), unique=True))
+def test_project_shares_the_kept_values_in_fs_order(fs, names):
+    before = render_fs(fs), [(k, id(v)) for k, v in fs.items()]
+    out = project(fs, tuple(names))
+    assert out is not fs and type(out) is FeatStruct
+    assert list(out) == [k for k in fs if k in names]
+    assert all(out[k] is fs[k] for k in out)
+    assert (render_fs(fs), [(k, id(v)) for k, v in fs.items()]) == before
 
 
 def test_copy_fs_shares_immutable_leaves():
@@ -896,7 +897,6 @@ def test_subsumes_compares_sequences_and_sets_member_by_member():
 def test_get_path():
     fs = parse_fs_text("[a:[b:c]]")
     assert get_path(fs, "a|b") == "c"
-    assert get_path(fs, ("a", "b")) == "c"
     assert get_path(parse_fs_text("[]"), "phon") is None
     assert get_path(fs, "a|zz") is None
     assert get_path(parse_fs_text("[a:b]"), "a|c") is None  # a path through an atom

@@ -1094,6 +1094,23 @@ class TestSaveLoad:
             for entry in senses:
                 validate_entry(entry)
 
+    def test_validate_entry_rejects_an_unfilled_common_noun(self):
+        # the load fills the flags in: an entry built without it lacks them
+        fs = parse_fs_text("[cat:[maj:nominal, min:noun, sub:common, ssub:none, sssub:none], "
+                           "morph:[stem:yol, form:lexical], syn:[subcat:none], "
+                           "sem:[concept:yol-(road)]]")
+        entry = LexiconEntry(COMMON, "yol", fs)
+        with pytest.raises(InvariantError) as info:
+            validate_entry(entry)
+        assert str(info.value) == (
+            "entry nominal,noun,common,none,none yol: common noun lacks sem|material")
+        fill_entry_defaults(fs, COMMON)
+        validate_entry(entry)
+
+    def test_len_is_the_number_of_clauses(self, seed_db):
+        assert len(Database()) == 0
+        assert len(seed_db) == len(seed_db.clauses) > 0
+
 
 def fresh_dumps(db: Database) -> str:
     """``dumps`` over copies of the clauses with no stored line."""
