@@ -28,6 +28,11 @@ MUTANTS = [
      "        if not isinstance(y, Seq):\n",
      "_meet: sequences of different lengths unify, truncated by zip"),
     ("src/turklex/featstruct.py",
+     "            if merged is None:\n                return None\n            a[i] = merged\n",
+     "            if merged is None:\n                pass\n            a[i] = merged\n",
+     "_meet: a clash at one sequence member is placed as None, and the "
+     "result raises TypeError when rendered"),
+    ("src/turklex/featstruct.py",
      "    if kind is not _KIND.get(type(b)) or len(a) != len(b):\n",
      "    if kind is not _KIND.get(type(b)) or (kind is not Seq and len(a) != len(b)):\n",
      "_equal: sequences of different lengths compare equal"),
@@ -127,6 +132,22 @@ MUTANTS = [
      "    ia = id(a) if type(a) is kind else object()\n",
      "    ia = id(a)\n",
      "fs_equal: a frozen node reached twice stands for a co-indexed node"),
+    ("src/turklex/featstruct.py",
+     "merged = _meet(_copy_node(xv, memo) if type(xv) in _KIND else xv, yv, memo, False)",
+     "merged = _meet(xv, yv, memo, False)",
+     "unify: a frozen first operand's child the merge reaches is met uncopied, "
+     "so it meets only its equal"),
+    ("src/turklex/featstruct.py",
+     "            if merged is None:\n                return None\n            a[name] = merged\n"
+     "        return a\n",
+     "            if merged is None:\n                pass\n            a[name] = merged\n"
+     "        return a\n",
+     "unify: a clash under a frozen first operand is placed as None"),
+    ("src/turklex/featstruct.py",
+     "                a[name] = _copy_node(yv, memo) if type(yv) in _KIND else yv\n",
+     "                a[name] = yv\n",
+     "unify: a node of y placed under a frozen first operand is y's own, so "
+     "the result shares a mutable node with y"),
     ("src/turklex/featstruct.py",
      '    TAGGED = {"[": parse_fs, "<": parse_seq, "{": parse_braces}\n',
      '    TAGGED = {"[": parse_fs, "<": parse_seq, "{": parse_set}\n',

@@ -310,12 +310,13 @@ def inflect(entry: LexiconEntry, inflections: FeatStruct) -> Optional[FeatStruct
     """The sense with ``inflections`` unified into its ``morph`` block, or
     None if they clash.
 
-    A frozen ``morph`` block holds no tag: only the path to the change is
-    copied, and the result is a new root whose ``morph`` is the unification
-    and whose other features are the sense's own nodes.  A mutable one may
-    be co-indexed (``morph:@1=[...], syn:[same:@1]``), so the sense is
-    unified whole: its copy keeps the tag, and every reference sees the
-    inflections.
+    A frozen ``morph`` block holds no tag, so :func:`unify` reads it in
+    place: only the path to the change is copied.  The result is a new
+    root whose other features are the sense's own nodes, and whose
+    ``morph`` is a new block holding the sense's own frozen children where
+    no inflection reaches them.  A mutable one may be co-indexed
+    (``morph:@1=[...], syn:[same:@1]``), so the sense is unified whole: its
+    copy keeps the tag, and every reference sees the inflections.
     """
     if type(entry.fs["morph"]) is not FrozenFeatStruct:
         return unify(entry.fs, FeatStruct([("morph", inflections)]))

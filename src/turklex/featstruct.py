@@ -628,16 +628,32 @@ def unify(x, y):
     """Unify two values (structures, atoms, sets, negations, ...); returns a
     new value or None.
 
-    ``x`` is copied whole, as :func:`copy_fs` copies; of ``y`` only the
-    nodes the result takes over are copied, under the same memo, so the
-    result shares no node with either operand.  Operands are never
-    mutated.  Sharing inside ``x`` is kept, but the merge walks ``y`` as a
-    tree: ``unify([x:[p:a], y:[r:c]], [x:@1=[q:b], y:@1])`` drops ``y``'s
-    ``@1``, ``unify([x:[p:a], y:[p:c]], [x:@1=[q:b], y:@1])`` succeeds, and
-    an operand holding a node of the other can make it raise
-    ``RuntimeError`` or ``RecursionError`` (ROADMAP item 3 fixes all three).
+    A mutable ``x`` is copied whole, as :func:`copy_fs` copies.  A frozen
+    structure ``x`` holds no tag, so it is read in place: only its root and
+    each child the merge reaches are copied, and its other children go into
+    the result as they are, values like any leaf.  Of ``y`` only the nodes
+    the result takes over are copied, under the same memo.  So the result
+    shares no mutable node with either operand, though it may hold ``x``'s
+    frozen children.  Operands are never mutated.  Sharing inside ``x`` is
+    kept, but the merge walks ``y`` as a tree: ``unify([x:[p:a], y:[r:c]],
+    [x:@1=[q:b], y:@1])`` drops ``y``'s ``@1``, ``unify([x:[p:a],
+    y:[p:c]], [x:@1=[q:b], y:@1])`` succeeds, and an operand holding a node
+    of the other can make it raise ``RuntimeError`` or ``RecursionError``
+    (ROADMAP item 7 fixes all three).
     """
     memo = {}
+    if type(x) is FrozenFeatStruct and isinstance(y, FeatStruct):
+        a = FeatStruct(x)
+        for name, yv in y.items():
+            xv = a.get(name)
+            if xv is None:
+                a[name] = _copy_node(yv, memo) if type(yv) in _KIND else yv
+                continue
+            merged = _meet(_copy_node(xv, memo) if type(xv) in _KIND else xv, yv, memo, False)
+            if merged is None:
+                return None
+            a[name] = merged
+        return a
     return _meet(_copy_node(x, memo) if type(x) in _KIND else x, y, memo, False)
 
 

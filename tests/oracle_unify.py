@@ -8,7 +8,9 @@ structures are plain dicts here.  A comparison then checks that the
 library's result *denotes* the same set the oracle computed, and that it
 is canonical (no atom set of fewer than two members), which keeps the two
 implementations independent: the oracle never constructs library values
-for intermediate results.
+for intermediate results.  Each pair is checked with its structures
+mutable and frozen, in every mix, since :func:`unify` reads a frozen first
+operand in place and copies a mutable one.
 
 One combination is not denotationally representable in an open atom
 universe: unifying two *different* negated atoms (the true answer,
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from turklex.featstruct import FeatStruct, Neg, unify
+from turklex.featstruct import FeatStruct, FrozenFeatStruct, Neg, unify
 
 UNIVERSE = ("a", "b", "c", "d", "e", "f")
 
@@ -68,8 +70,9 @@ def oracle_unify(x, y):
     return meet if meet else FAIL
 
 
-def to_library(value):
-    """Build the library representation of an oracle-world value."""
+def to_library(value, frozen=False):
+    """Build the library representation of an oracle-world value, its
+    structures frozen if ``frozen``."""
     if isinstance(value, str):
         return value
     if isinstance(value, frozenset):
@@ -77,7 +80,8 @@ def to_library(value):
     if is_neg(value):
         return Neg(value[1])
     if isinstance(value, dict):
-        return FeatStruct([(k, to_library(v)) for k, v in value.items()])
+        kind = FrozenFeatStruct if frozen else FeatStruct
+        return kind([(k, to_library(v, frozen)) for k, v in value.items()])
     raise TypeError(f"cannot convert {value!r}")
 
 
@@ -147,27 +151,30 @@ def depth2_pool():
 
 
 def check_pair(a, b):
-    """Run one oracle-vs-library comparison; returns an error string or None."""
+    """Run one oracle-vs-library comparison, for each mix of mutable and
+    frozen operands; returns an error string or None."""
     expected = oracle_unify(a, b)
-    la, lb = to_library(a), to_library(b)
-    got = unify(la, lb)
-    got_rev = unify(lb, la)
-    if not library_matches(got, expected):
-        return f"unify({a!r}, {b!r}): library {got!r} != oracle {expected!r}"
-    # commutativity: same failure status and same denotation
-    if (got is None) != (got_rev is None):
-        return f"unify({a!r}, {b!r}): commutativity failure-status mismatch"
-    if got is not None and not library_matches(got_rev, expected):
-        return f"unify({b!r}, {a!r}): reversed result diverges from oracle"
+    for frozen in itertools.product((False, True), repeat=2):
+        la, lb = to_library(a, frozen[0]), to_library(b, frozen[1])
+        got = unify(la, lb)
+        got_rev = unify(lb, la)
+        if not library_matches(got, expected):
+            return f"unify({a!r}, {b!r}), frozen {frozen}: library {got!r} != oracle {expected!r}"
+        # commutativity: same failure status and same denotation
+        if (got is None) != (got_rev is None):
+            return f"unify({a!r}, {b!r}), frozen {frozen}: commutativity failure-status mismatch"
+        if got is not None and not library_matches(got_rev, expected):
+            return f"unify({b!r}, {a!r}), frozen {frozen}: reversed result diverges from oracle"
     return None
 
 
 def check_idempotent(a):
-    la = to_library(a)
-    got = unify(la, la)
     expected = oracle_unify(a, a)
-    if not library_matches(got, expected):
-        return f"unify({a!r}, {a!r}) not idempotent: got {got!r}"
+    for frozen in (False, True):
+        la = to_library(a, frozen)
+        got = unify(la, la)
+        if not library_matches(got, expected):
+            return f"unify({a!r}, {a!r}), frozen {frozen}: not idempotent: got {got!r}"
     return None
 
 

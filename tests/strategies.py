@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from turklex.featstruct import BaseConcept, DerivedConcept, FeatStruct, FSSet, Neg, Seq
+from turklex.featstruct import (BaseConcept, DerivedConcept, FeatStruct, FSSet, Neg, Seq,
+                                copy_fs, fs_equal, parse_fs_text, render_fs)
 
 ATOMS = ("nom", "acc", "3sg", "1sg", "none", "verb", "noun", "+", "-")
 NAMES = ("cat", "morph", "sem", "agr", "poss", "case", "maj", "stem", "subcat")
@@ -43,6 +44,40 @@ feat_structs = st.recursive(
 )
 
 
+def frozen_root(fs):
+    """``fs``, a structure no node of which is reached twice, read back as
+    the value of ``[v:...]``: no tag reaches it, so it is frozen throughout,
+    as the parser leaves a database's nodes."""
+    return parse_fs_text(f"[v:{render_fs(fs)}]")["v"]
+
+
+frozen_structs = feat_structs.map(frozen_root)
+
+
+@st.composite
+def one_member_apart(draw):
+    """Two structures that are equal but for one member of one sequence or
+    constraint set at the end of a path, and so never unify: the sequence
+    member is one atom in the first and another in the second, and the set
+    member a structure in the first and an unequal one in the second.
+    Neither structure reaches a node twice, nor one of the other."""
+    if draw(st.booleans()):
+        kind, members = Seq, draw(st.lists(st.one_of(atomic_values, feat_structs),
+                                           min_size=1, max_size=3))
+        old, new = draw(st.lists(atoms, min_size=2, max_size=2, unique=True))
+    else:
+        kind, members = FSSet, draw(st.lists(feat_structs, min_size=1, max_size=3))
+        old = draw(feat_structs)
+        new = draw(feat_structs.filter(lambda fs: not fs_equal(fs, old)))
+    i = draw(st.integers(0, len(members)))
+    x = kind(members[:i] + [old] + members[i:])
+    y = kind([copy_fs(m) for m in members[:i]] + [new] + [copy_fs(m) for m in members[i:]])
+    for name in draw(st.lists(feature_names, min_size=1, max_size=3)):
+        rest = draw(feat_structs)
+        x, y = FeatStruct(rest, **{name: x}), FeatStruct(copy_fs(rest), **{name: y})
+    return x, y
+
+
 @st.composite
 def shared_structs(draw):
     """A structure in which one non-atomic value occurs at two paths."""
@@ -72,3 +107,24 @@ def entangled_pairs(draw):
                               unique=True)):
         second[name] = draw(st.sampled_from(nodes))
     return first, second
+
+
+@st.composite
+def _reaching_pairs(draw):
+    """A frozen structure and a mutable one that holds structures under one
+    to three names, mostly the first's, so that the merge reaches the
+    first's children."""
+    first = draw(frozen_structs)
+    second = FeatStruct(draw(st.one_of(feat_structs, shared_structs())))
+    names = st.sampled_from(sorted(first)) if first else feature_names
+    for name in draw(st.lists(st.one_of(names, feature_names), min_size=1, max_size=3,
+                              unique=True)):
+        second[name] = draw(feat_structs)
+    return first, second
+
+
+# a frozen first operand, with a second of every kind
+frozen_first_pairs = st.one_of(
+    st.tuples(frozen_structs, st.one_of(feat_structs, frozen_structs, shared_structs())),
+    _reaching_pairs(),
+)

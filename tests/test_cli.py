@@ -12,6 +12,8 @@ from turklex.cli import main
 from turklex.featstruct import render_fs
 from turklex.fsdb import dumps, load, lookup
 
+from .test_golden import sense_dropped_data
+
 COMMON = Cat5.from_text("nominal,noun,common,none,none")
 
 
@@ -91,6 +93,15 @@ class TestQuery:
         result = runner.invoke(main, ["query", "[phon:denizlerde]"])
         assert result.exit_code == 0
         assert "Number of feature structures: 0" in result.output
+
+    def test_inflections_that_conflict_with_a_sense_drop_it(self, runner, tmp_path):
+        db, analyzer = sense_dropped_data(tmp_path)
+        result = runner.invoke(main, ["--db", str(db), "--analyzer", str(analyzer),
+                                      "query", "[phon:atX]", "--trace", "full"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert "Sense dropped: inflections conflict with a sense of at" in lines
+        assert "Number of feature structures: 0" in lines
 
     def test_unsatisfiable_restriction_is_success(self, runner):
         result = runner.invoke(main, ["query", "[phon:atIm, cat:[maj:conjunction]]"])

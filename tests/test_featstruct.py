@@ -33,7 +33,8 @@ from turklex.featstruct import (
 
 from . import oracle_unify
 from .oracle_copy_merge import copy_merge_unify
-from .strategies import NAMES, entangled_pairs, feat_structs, shared_structs
+from .strategies import (NAMES, entangled_pairs, feat_structs, frozen_first_pairs, frozen_root,
+                         one_member_apart, shared_structs)
 
 NODE_TYPES = (FeatStruct, Seq, FSSet)
 
@@ -639,6 +640,35 @@ def test_unify_sequences_of_different_lengths_fails():
     assert unify(long, parse_fs_text("[s:<a, {b, c}>]")) == long
 
 
+def test_unify_fails_on_one_clashing_sequence_member():
+    x, y = parse_fs_text("[s:<a, b>]"), parse_fs_text("[s:<a, c>]")
+    for first in (x, frozen_root(x)):
+        assert unify(first, y) is None and unify(y, first) is None
+
+
+@settings(max_examples=100)
+@given(one_member_apart())
+def test_unify_fails_on_one_sequence_or_set_member(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        for first in (a, frozen_root(a)):
+            assert unify(first, b) is None
+
+
+def test_unify_reads_a_frozen_first_operand_in_place():
+    x = frozen_root(parse_fs_text("[m:[a:b], n:[c:<d>], p:<[e:f]>]"))
+    y = copy_fs(parse_fs_text("[n:[g:h], q:[r:s]]"))
+    out = unify(x, y)
+    assert render_fs(out) == "[m:[a:b], n:[c:<d>, g:h], p:<[e:f]>, q:[r:s]]"
+    # the root and the child the merge reaches are copied, the others held;
+    # y's nodes are copied where the result takes them over
+    assert type(out) is FeatStruct and type(out["n"]) is FeatStruct
+    assert out["m"] is x["m"] and out["p"] is x["p"]
+    assert out["q"] is not y["q"] and out["q"] == y["q"]
+    assert render_fs(x) == "[m:[a:b], n:[c:<d>], p:<[e:f]>]" and "c" not in y["n"]
+    assert unify(x, parse_fs_text("[m:[a:c]]")) is None
+
+
 def test_unify_does_not_mutate_operands():
     a = parse_fs_text("[m:[x:p]]")
     b = parse_fs_text("[m:[y:q]]")
@@ -677,6 +707,19 @@ def test_unify_oracle_randomized_quick():
     assert not errors, errors[:5]
 
 
+@settings(max_examples=100)
+@given(frozen_first_pairs)
+def test_unify_reads_a_frozen_first_operand_as_its_copy(pair):
+    x, y = pair
+    # copy_fs(x) is mutable, so unify copies it whole
+    thawed = copy_fs(x)
+    assert type(x) is FrozenFeatStruct and type(thawed) is FeatStruct
+    out, expected = unify(x, y), unify(thawed, y)
+    assert (out is None) == (expected is None)
+    if out is not None:
+        assert render_fs(out) == render_fs(expected) and fs_equal(out, expected)
+
+
 @settings(max_examples=150)
 @given(feat_structs, feat_structs)
 def test_unify_commutative(a, b):
@@ -706,13 +749,15 @@ def test_unify_result_subsumed_by_operands(a, b):
         assert subsumes(b, out)
 
 
-# unify copies x whole but only the nodes of y it places: it must give the
-# answers, sharing included, of copying both operands and merging the copies
+# unify copies a mutable x whole, of a frozen x only what the merge reaches,
+# and of y only the nodes it places: it must give the answers, sharing
+# included, of copying both operands and merging the copies
 
 _operand_pairs = st.one_of(
     st.tuples(feat_structs, feat_structs),
     st.tuples(shared_structs(), shared_structs()),
     entangled_pairs(),
+    frozen_first_pairs,
 )
 
 
@@ -766,7 +811,8 @@ def test_unify_compares_a_constraint_set_as_merged_so_far():
 @settings(max_examples=200)
 @given(_operand_pairs)
 def test_unify_result_owns_its_nodes(pair):
-    # inflect and build_derived write to the nodes unify returns
+    # inflect and build_derived write to the mutable nodes unify returns; a
+    # frozen one it returns is a value, which no write reaches
     x, y = pair
     before = render_fs(x), render_fs(y)
     for a, b in ((x, y), (y, x)):

@@ -86,11 +86,10 @@ def cli_traces(runs) -> bytes:
     return b"\n".join(blocks)
 
 
-def sense_dropped_traces(work: Path) -> bytes:
-    """The CLI's full traces, in both layouts, of ``kazma`` and of ``atX``
-    (over :data:`CONFLICTING_PARSE`) over a database without
-    :data:`NO_TEMPLATE` and with :data:`AT_MORPH`.  Data files are written
-    into ``work``."""
+def sense_dropped_data(work: Path) -> tuple:
+    """Write into ``work`` a database without :data:`NO_TEMPLATE` and with
+    :data:`AT_MORPH`, and an analyzer table of :data:`CONFLICTING_PARSE`;
+    returns their paths."""
     db = work / "lexicon.fdb"
     head, old, new = AT_MORPH
     with open(bundled_path("lexicon.fdb"), encoding="utf-8") as handle:
@@ -99,6 +98,13 @@ def sense_dropped_traces(work: Path) -> bytes:
     db.write_text("".join(kept), encoding="utf-8")
     analyzer = work / "analyzer.tsv"
     analyzer.write_text(CONFLICTING_PARSE, encoding="utf-8")
+    return db, analyzer
+
+
+def sense_dropped_traces(work: Path) -> bytes:
+    """The CLI's full traces, in both layouts, of ``kazma`` and of ``atX``
+    over :func:`sense_dropped_data`, written into ``work``."""
+    db, analyzer = sense_dropped_data(work)
     return cli_traces([(["--db", str(db)], "[phon:kazma]"),
                        (["--db", str(db), "--analyzer", str(analyzer)], "[phon:atX]")])
 
